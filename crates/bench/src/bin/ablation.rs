@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices documented in DESIGN.md:
+//! Ablation studies for the design choices documented in
+//! ARCHITECTURE.md §10:
 //!
 //! 1. centralized wake-up strategy (chain / greedy / median-split /
 //!    midline quadtree / exact optimum on tiny inputs) — why Lemma 2's
@@ -123,8 +124,8 @@ fn central_strategies() {
     }
     println!("\nconclusion: the midline quadtree is the only variant that is");
     println!("simultaneously O(R) on skewed inputs and close to optimal on");
-    println!("small ones — hence our Lemma 2 substitute (DESIGN.md §5). The");
-    println!("anytime optimizer tightens every workload's best constructive");
+    println!("small ones — hence our Lemma 2 substitute (ARCHITECTURE.md §10).");
+    println!("The anytime optimizer tightens every workload's best constructive");
     println!("tree further — it is the ratio-table baseline, not a Lemma 2");
     println!("candidate (robots cannot run a centralized search mid-wake).");
 }

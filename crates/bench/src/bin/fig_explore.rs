@@ -134,7 +134,8 @@ fn lemma2_constant() {
         ]);
     }
     println!("\nshape check: makespan/R constant (paper's Lemma 2 constant is 5;");
-    println!("our quadtree substitute measures the column above — see DESIGN.md).");
+    println!("our quadtree substitute measures the column above — see");
+    println!("ARCHITECTURE.md §10).");
 
     // Smoke: greedy baseline comparison on one instance, same engine path.
     let baseline = ExperimentPlan::new("fig4-lemma2-baseline")

@@ -12,7 +12,7 @@
 //! Absolute constants differ from the authors' (different exploration and
 //! wake-tree constants); the *shape* — bounded measured/bound ratios across
 //! the sweeps, who wins where, the energy hierarchy — is the reproduction
-//! target. EXPERIMENTS.md records a snapshot of this output.
+//! target.
 //!
 //! Run with: `cargo run --release -p freezetag-bench --bin table1`
 

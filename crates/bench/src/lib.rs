@@ -1,7 +1,7 @@
 //! Shared helpers for the benchmark harness: the binaries in `src/bin/`
-//! regenerate every table and figure of the paper (see DESIGN.md §4 for
-//! the experiment index), and the Criterion benches in `benches/` track
-//! the implementation's wall-clock performance.
+//! regenerate every table and figure of the paper (see ARCHITECTURE.md
+//! §10 for the experiment index), and the Criterion benches in `benches/`
+//! track the implementation's wall-clock performance.
 //!
 //! Every full-algorithm measurement in the binaries is an
 //! [`freezetag_exp::ExperimentPlan`] executed by the experiment engine;

@@ -9,7 +9,7 @@
 //!   robot, one child; every other node ≤ 2 children);
 //! * [`quadtree_wake_tree`] — a divide-and-conquer strategy with makespan
 //!   `O(R)` for points in a region of diameter `R` (our stand-in for the
-//!   5R algorithm of \[BCGH24\], see DESIGN.md);
+//!   5R algorithm of \[BCGH24\], see ARCHITECTURE.md §10);
 //! * [`greedy_wake_tree`] — the earliest-finish greedy baseline;
 //! * [`anytime_wake_tree`] — a parallel anytime local-search optimizer
 //!   over wake trees with `O(depth)` delta evaluation, the strong
@@ -39,7 +39,6 @@
 
 pub mod anytime;
 mod greedy;
-pub mod online;
 mod optimal;
 mod propagate;
 mod quadtree;

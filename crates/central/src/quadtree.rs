@@ -6,12 +6,12 @@ use freezetag_sim::RobotId;
 /// of diameter `R` around the root.
 ///
 /// This is the workspace's stand-in for the `5R` square strategy of
-/// Lemma 2 / \[BCGH24\] (see DESIGN.md, substitutions): at every node the
+/// Lemma 2 / \[BCGH24\] (see ARCHITECTURE.md §10, item 1): at every node the
 /// carrier wakes the item nearest to it, the bounding rectangle is split
 /// across its longer side, and the two now-awake robots recurse into the
 /// two halves. Rectangle width halves every two levels, so total travel is
-/// a geometric series `O(R)`; the measured constant is reported in
-/// EXPERIMENTS.md and asserted `< 10` in the tests.
+/// a geometric series `O(R)`; the measured constant is printed by the
+/// `fig_explore` bench and asserted `< 10` in the tests.
 ///
 /// # Example
 ///

@@ -1,5 +1,6 @@
 //! Ablation variants of the centralized wake-up strategy, used by the
-//! `ablation` bench to justify the design choices documented in DESIGN.md:
+//! `ablation` bench to justify the design choices documented in
+//! ARCHITECTURE.md §10:
 //!
 //! * [`chain_wake_tree`] — no forking at all: one robot wakes everyone in
 //!   nearest-neighbour order. The worst reasonable baseline (`Θ(n)`-depth

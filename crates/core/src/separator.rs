@@ -10,7 +10,7 @@
 //! robots discovered, so a terminating round wakes them with a centralized
 //! wake-up tree (Lemma 2 / Algorithm 1).
 //!
-//! ## Driver notes (deviations documented in DESIGN.md)
+//! ## Driver notes (deviations listed in ARCHITECTURE.md §10)
 //!
 //! * Robots are *owned* by the quadrant containing their initial position
 //!   (deterministic tie-break on borders); only the owning team ever wakes

@@ -1,23 +1,18 @@
 //! The [`Engine`] facade: one entry point for every way this workspace
 //! executes experiment jobs.
 //!
-//! Historically the runner grew a free function per (shape × profile ×
-//! pool) combination — `run_single`, `run_single_stats_with`,
-//! `run_plan_streaming`, … — and every harness picked its own. The engine
-//! collapses that accreted surface into one object:
+//! The engine holds the execution configuration (core budget, intra-run
+//! pool width, result-cache capacity) once, instead of threading
+//! `threads`/`ParPool` arguments through every call site:
 //!
-//! * [`Engine::new`] holds the execution configuration (core budget,
-//!   intra-run pool width, result-cache capacity) once, instead of
-//!   threading `threads`/`ParPool` arguments through every call site;
 //! * [`Engine::submit`] runs a whole [`ExperimentPlan`] on a pool of
 //!   worker threads and returns a [`JobStream`] — a bounded, in-order,
 //!   cancellable iterator of [`JobResult`]s; [`Engine::run`] and
 //!   [`Engine::run_streaming`] are the collect/callback conveniences over
 //!   it;
-//! * [`Engine::single`] / [`Engine::single_stats`] /
-//!   [`Engine::single_compressed`] run one scenario × algorithm × seed
-//!   combination under the corresponding recorder profile, for harnesses
-//!   that need the materialized run rather than plan records.
+//! * [`Engine::single`] runs one scenario × algorithm × seed combination
+//!   under the full-schedule profile, for harnesses that need the
+//!   materialized run rather than plan records.
 //!
 //! Three production concerns live here and nowhere else:
 //!
@@ -48,8 +43,7 @@
 
 use crate::plan::{AlgSpec, ExperimentPlan, JobSpec, ScenarioSpec};
 use crate::runner::{
-    execute_job_ctx, inter_job_workers, single_compressed, single_full, single_stats,
-    CompressedRun, JobContext, JobResult, SingleRun, StatsRun,
+    execute_job_ctx, inter_job_workers, single_full, JobContext, JobResult, SingleRun,
 };
 use crate::ExpError;
 use freezetag_instances::registry;
@@ -70,7 +64,7 @@ pub struct EngineConfig {
     /// workers and each job's `sim_threads`-wide intra-job pool by
     /// [`inter_job_workers`].
     pub threads: usize,
-    /// Intra-run pool width for the [`Engine::single`] family (plan jobs
+    /// Intra-run pool width for [`Engine::single`] (plan jobs
     /// use the plan's own [`ExperimentPlan::sim_threads`], which is part
     /// of the plan data). Results are bit-identical for any value.
     pub sim_threads: usize,
@@ -401,51 +395,13 @@ impl Engine {
         alg: AlgSpec,
         seed: u64,
     ) -> Result<SingleRun, ExpError> {
-        single_full(spec, alg, seed, self.single_pool(), &mut self.single_ctx())
-    }
-
-    /// [`Engine::single`] under the constant-memory stats profile: no
-    /// schedule, no validation, no ξ_ℓ — only aggregate numbers, which
-    /// match a full-profile run bit-for-bit. The only tractable path at
-    /// 10⁵–10⁶ robots.
-    ///
-    /// # Errors
-    ///
-    /// Registry errors, or [`ExpError::Unsupported`] for non-distributed
-    /// algorithms and adversarial scenarios.
-    pub fn single_stats(
-        &self,
-        spec: &ScenarioSpec,
-        alg: AlgSpec,
-        seed: u64,
-    ) -> Result<StatsRun, ExpError> {
-        single_stats(spec, alg, seed, self.single_pool(), &mut self.single_ctx())
-    }
-
-    /// [`Engine::single`] under the compressed profile: the full schedule
-    /// kept in delta-encoded blocks and checked by the streaming
-    /// validator — full-fidelity validation at stats-profile scale.
-    ///
-    /// # Errors
-    ///
-    /// Registry errors, validation failures, or
-    /// [`ExpError::Unsupported`] for non-distributed algorithms and
-    /// adversarial scenarios.
-    pub fn single_compressed(
-        &self,
-        spec: &ScenarioSpec,
-        alg: AlgSpec,
-        seed: u64,
-    ) -> Result<CompressedRun, ExpError> {
-        single_compressed(spec, alg, seed, self.single_pool(), &mut self.single_ctx())
-    }
-
-    fn single_pool(&self) -> ParPool {
-        ParPool::new(self.inner.config.sim_threads.max(1))
-    }
-
-    fn single_ctx(&self) -> JobContext {
-        JobContext::new(CancelToken::never())
+        single_full(
+            spec,
+            alg,
+            seed,
+            ParPool::new(self.inner.config.sim_threads.max(1)),
+            &mut JobContext::new(CancelToken::never()),
+        )
     }
 }
 
@@ -902,31 +858,40 @@ mod tests {
     }
 
     #[test]
-    fn single_family_matches_the_plan_path() {
+    fn single_run_matches_the_plan_path_under_every_profile() {
         let engine = Engine::new(EngineConfig {
             threads: 1,
             sim_threads: 2,
             cache_capacity: 0,
         });
-        let spec = ScenarioSpec::new("disk")
-            .with("n", 30.0)
-            .with("radius", 6.0);
-        let full = engine.single(&spec, Algorithm::Wave.into(), 5).unwrap();
-        let stats = engine
-            .single_stats(&spec, Algorithm::Wave.into(), 5)
-            .unwrap();
-        let compressed = engine
-            .single_compressed(&spec, Algorithm::Wave.into(), 5)
+        let plan = |profile| {
+            ExperimentPlan::new("one")
+                .scenario(
+                    ScenarioSpec::new("disk")
+                        .with("n", 30.0)
+                        .with("radius", 6.0),
+                )
+                .algorithm(Algorithm::Wave)
+                .sim_threads(2)
+                .profile(profile)
+        };
+        let base = plan(Profile::Full);
+        let seed = base.jobs()[0].seed;
+        let full = engine
+            .single(&base.scenarios[0], Algorithm::Wave.into(), seed)
             .unwrap();
         assert!(full.report.all_awake);
-        assert_eq!(full.report.makespan.to_bits(), stats.makespan.to_bits());
-        assert_eq!(
-            full.report.makespan.to_bits(),
-            compressed.makespan.to_bits()
-        );
-        assert_eq!(
-            full.report.total_energy.to_bits(),
-            stats.total_energy.to_bits()
-        );
+        for profile in [Profile::Full, Profile::Stats, Profile::Compressed] {
+            let r = &engine.run(&plan(profile)).unwrap()[0];
+            assert!(r.all_awake, "{profile}");
+            assert_eq!(r.seed, seed);
+            assert_eq!(full.report.makespan.to_bits(), r.makespan.to_bits());
+            assert_eq!(
+                full.report.total_energy.to_bits(),
+                r.total_energy.to_bits(),
+                "{profile}"
+            );
+            assert_eq!(full.report.looks, r.looks, "{profile}");
+        }
     }
 }

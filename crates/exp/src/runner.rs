@@ -2,27 +2,28 @@
 //! algorithm under the plan's recorder profile, and measuring the result.
 //!
 //! This module owns the *single-job* layer: the result types
-//! ([`JobResult`], [`SingleRun`], [`StatsRun`], [`CompressedRun`]), the
-//! worker-resident `JobContext` and the core-budget split
-//! ([`inter_job_workers`]). Multi-job orchestration — worker pools,
-//! streaming windows, the result cache, cancellation — lives in the
-//! [`Engine`](crate::Engine) facade; the free functions kept here
-//! ([`run_single`] and friends, [`run_plan`], [`run_plan_streaming`]) are
-//! deprecated shims over it.
+//! ([`JobResult`], [`SingleRun`]), the worker-resident `JobContext` and the
+//! core-budget split ([`inter_job_workers`]). Every simulated job goes
+//! through one `drive` step, generic over the recorder; the profile only
+//! decides which recorder it gets and how the run is summarized.
+//! Multi-job orchestration — worker pools, streaming windows, the result
+//! cache, cancellation — lives in the [`Engine`](crate::Engine) facade.
 
 use crate::plan::{AlgSpec, ExperimentPlan, JobSpec, Profile, ScenarioSpec};
 use crate::ExpError;
-use freezetag_central::{anytime_wake_tree, optimal_makespan, AnytimeConfig, WakeStrategy};
+use freezetag_central::{anytime_wake_tree, optimal_makespan, AnytimeConfig};
 use freezetag_core::{
     a_grid, a_separator_in, a_wave_in, AGridConfig, ASeparatorConfig, AWaveConfig, AlgScratch,
     Algorithm, RunReport,
 };
 use freezetag_geometry::Point;
+use freezetag_instances::adversarial::AdversarialLayout;
 use freezetag_instances::registry::{self, Built};
 use freezetag_instances::{AdmissibleTuple, Instance};
 use freezetag_sim::{
-    validate, validate_compressed, AdversarialWorld, CancelToken, ConcreteWorld, ParPool, Recorder,
-    RobotId, Schedule, Sim, StatsRecorder, ValidationOptions, WorldView,
+    validate, validate_compressed, AdversarialWorld, CancelToken, CompressedRecorder,
+    ConcreteWorld, FullRecorder, ParPool, Recorder, RobotId, Schedule, Sim, StatsRecorder, Trace,
+    ValidationOptions, WorldView,
 };
 use std::time::Instant;
 
@@ -125,6 +126,22 @@ pub struct SingleRun {
     pub schedule: Schedule,
 }
 
+/// What one job measured: every [`JobResult`] field except the job's
+/// identity and its wall time.
+struct Measured {
+    n: usize,
+    ell: f64,
+    rho: f64,
+    xi_ell: Option<f64>,
+    makespan: f64,
+    completion_time: f64,
+    max_energy: f64,
+    total_energy: f64,
+    looks: usize,
+    all_awake: bool,
+    peak_mem_bytes: f64,
+}
+
 /// The input tuple a simulated job hands to its algorithm: the scale
 /// families declare `ℓ` (skipping the `O(n²)` exact-threshold pass, which
 /// 10⁶-robot instances cannot afford) with `ρ` from an `O(n)` radius scan;
@@ -159,61 +176,78 @@ fn tuple_for(
     }
 }
 
-fn dispatch<W: WorldView, R: Recorder>(
-    sim: &mut Sim<W, R>,
+/// The error for an algorithm the simulator cannot run: the centralized
+/// baselines build a wake tree, not a schedule.
+fn not_simulated(alg: AlgSpec) -> ExpError {
+    ExpError::Unsupported(format!(
+        "only distributed algorithms run on the simulator, got {}",
+        alg.label()
+    ))
+}
+
+/// The one simulation step behind every profile: runs `alg` on `world`,
+/// recording into `recorder` on the job's pool and cancel token, and hands
+/// back the world, the recorder and the phase trace.
+fn drive<W: WorldView, R: Recorder>(
+    world: W,
+    recorder: R,
     tuple: &AdmissibleTuple,
-    algorithm: Algorithm,
-    strategy: Option<WakeStrategy>,
-    scratch: &mut AlgScratch,
-) -> Result<(), ExpError> {
+    alg: AlgSpec,
+    pool: ParPool,
+    ctx: &mut JobContext,
+) -> Result<(W, R, Trace), ExpError> {
+    let mut sim = Sim::with_recorder(world, recorder)
+        .with_pool(pool)
+        .with_cancel(ctx.cancel.clone());
+    let AlgSpec::Distributed {
+        algorithm,
+        strategy,
+    } = alg
+    else {
+        return Err(not_simulated(alg));
+    };
     match (algorithm, strategy) {
         (Algorithm::Separator, s) => a_separator_in(
-            sim,
+            &mut sim,
             &ASeparatorConfig {
                 tuple: *tuple,
                 strategy: s.unwrap_or_default(),
             },
-            scratch,
+            &mut ctx.scratch,
         ),
         (_, Some(_)) => {
             return Err(ExpError::Unsupported(format!(
                 "wake-strategy overrides only apply to ASeparator, not {algorithm}"
             )))
         }
-        (Algorithm::Grid, None) => a_grid(sim, &AGridConfig { ell: tuple.ell }),
-        (Algorithm::Wave, None) => a_wave_in(sim, &AWaveConfig { ell: tuple.ell }, scratch),
+        (Algorithm::Grid, None) => a_grid(&mut sim, &AGridConfig { ell: tuple.ell }),
+        (Algorithm::Wave, None) => {
+            a_wave_in(&mut sim, &AWaveConfig { ell: tuple.ell }, &mut ctx.scratch)
+        }
     }
-    Ok(())
+    Ok(sim.into_recorder_parts())
 }
 
 fn single_concrete(
-    scenario: &str,
     spec: &ScenarioSpec,
     inst: Instance,
+    alg: AlgSpec,
     algorithm: Algorithm,
-    strategy: Option<WakeStrategy>,
     pool: ParPool,
     ctx: &mut JobContext,
 ) -> Result<SingleRun, ExpError> {
     let tuple = tuple_for(spec, &inst, &pool)?;
-    let mut sim = Sim::new(ConcreteWorld::with_pool(&inst, &pool))
-        .with_pool(pool)
-        .with_cancel(ctx.cancel.clone());
-    dispatch(&mut sim, &tuple, algorithm, strategy, &mut ctx.scratch)?;
-    let looks = sim.world().look_count();
-    let (_, schedule, trace) = sim.into_parts();
-    let label = AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    }
-    .label();
+    let world = ConcreteWorld::with_pool(&inst, &pool);
+    let recorder = FullRecorder::with_capacity(world.n());
+    let (world, rec, trace) = drive(world, recorder, &tuple, alg, pool, ctx)?;
+    let schedule = rec.into_schedule();
     let vr = validate(
         &schedule,
         inst.source(),
         inst.positions(),
         &ValidationOptions::default(),
     )
-    .map_err(|e| ExpError::validation(scenario, &label, e))?;
+    .map_err(|e| ExpError::validation(&spec.name, &alg.label(), e))?;
     let report = RunReport {
         algorithm,
         makespan: vr.makespan,
@@ -222,7 +256,7 @@ fn single_concrete(
         total_energy: vr.total_energy,
         wake_count: vr.wake_count,
         all_awake: vr.robots_awake == inst.n() + 1,
-        looks,
+        looks: world.look_count(),
         trace,
     };
     // ξ_ℓ is evaluated at the rounded ℓ of the tuple — whichever branch of
@@ -244,10 +278,10 @@ fn single_concrete(
 }
 
 fn single_adversarial(
-    scenario: &str,
-    layout: freezetag_instances::adversarial::AdversarialLayout,
+    spec: &ScenarioSpec,
+    layout: AdversarialLayout,
+    alg: AlgSpec,
     algorithm: Algorithm,
-    strategy: Option<WakeStrategy>,
     pool: ParPool,
     ctx: &mut JobContext,
 ) -> Result<SingleRun, ExpError> {
@@ -255,20 +289,12 @@ fn single_adversarial(
     // Adversarial sensing is impure (look history is state), so the pool
     // only accelerates world construction and frontier bucketing here —
     // which keeps the run identical at any `sim_threads`.
-    let mut sim = Sim::new(AdversarialWorld::with_pool(layout, &pool))
-        .with_pool(pool)
-        .with_cancel(ctx.cancel.clone());
-    dispatch(&mut sim, &tuple, algorithm, strategy, &mut ctx.scratch)?;
-    let all_awake = sim.world().all_awake();
-    let looks = sim.world().look_count();
-    let finals = sim.world().final_positions();
-    let (_, schedule, trace) = sim.into_parts();
-    let label = AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    }
-    .label();
-    let report = match &finals {
+    let world = AdversarialWorld::with_pool(layout, &pool);
+    let recorder = FullRecorder::with_capacity(world.n());
+    let (world, rec, trace) = drive(world, recorder, &tuple, alg, pool, ctx)?;
+    let schedule = rec.into_schedule();
+    let finals = world.final_positions();
+    let (makespan, completion_time, max_energy, total_energy, wake_count) = match &finals {
         // All robots pinned: the revealed positions support the full
         // independent schedule validation, exactly like a concrete run.
         Some(positions) => {
@@ -277,31 +303,34 @@ fn single_adversarial(
                 ..Default::default()
             };
             let vr = validate(&schedule, Point::ORIGIN, positions, &opts)
-                .map_err(|e| ExpError::validation(scenario, &label, e))?;
-            RunReport {
-                algorithm,
-                makespan: vr.makespan,
-                completion_time: vr.completion_time,
-                max_energy: vr.max_energy,
-                total_energy: vr.total_energy,
-                wake_count: vr.wake_count,
-                all_awake,
-                looks,
-                trace,
-            }
+                .map_err(|e| ExpError::validation(&spec.name, &alg.label(), e))?;
+            (
+                vr.makespan,
+                vr.completion_time,
+                vr.max_energy,
+                vr.total_energy,
+                vr.wake_count,
+            )
         }
         // Adversary still hiding robots: report schedule-level statistics.
-        None => RunReport {
-            algorithm,
-            makespan: schedule.makespan(),
-            completion_time: schedule.completion_time(),
-            max_energy: schedule.max_energy(),
-            total_energy: schedule.total_energy(),
-            wake_count: schedule.wakes().len(),
-            all_awake,
-            looks,
-            trace,
-        },
+        None => (
+            schedule.makespan(),
+            schedule.completion_time(),
+            schedule.max_energy(),
+            schedule.total_energy(),
+            schedule.wakes().len(),
+        ),
+    };
+    let report = RunReport {
+        algorithm,
+        makespan,
+        completion_time,
+        max_energy,
+        total_energy,
+        wake_count,
+        all_awake: world.all_awake(),
+        looks: world.look_count(),
+        trace,
     };
     Ok(SingleRun {
         source: Point::ORIGIN,
@@ -315,8 +344,9 @@ fn single_adversarial(
     })
 }
 
-/// The full-profile single-run core shared by the [`Engine`](crate::Engine)
-/// facade and the deprecated [`run_single`] shims.
+/// The full-profile run behind [`Engine::single`](crate::Engine::single)
+/// and the plan jobs of [`Profile::Full`]: a concrete or adversarial world,
+/// a [`FullRecorder`], and independent validation of the schedule.
 pub(crate) fn single_full(
     spec: &ScenarioSpec,
     alg: AlgSpec,
@@ -324,342 +354,116 @@ pub(crate) fn single_full(
     pool: ParPool,
     ctx: &mut JobContext,
 ) -> Result<SingleRun, ExpError> {
-    let AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    } = alg
-    else {
-        return Err(ExpError::Unsupported(format!(
-            "run_single needs a distributed algorithm, got {}",
-            alg.label()
-        )));
+    let AlgSpec::Distributed { algorithm, .. } = alg else {
+        return Err(not_simulated(alg));
     };
     match registry::build(&spec.generator, &spec.params, seed)? {
-        Built::Concrete(inst) => {
-            single_concrete(&spec.name, spec, inst, algorithm, strategy, pool, ctx)
-        }
-        Built::Adversarial(layout) => {
-            single_adversarial(&spec.name, layout, algorithm, strategy, pool, ctx)
-        }
+        Built::Concrete(inst) => single_concrete(spec, inst, alg, algorithm, pool, ctx),
+        Built::Adversarial(layout) => single_adversarial(spec, layout, alg, algorithm, pool, ctx),
     }
 }
 
-/// Runs one scenario × algorithm × seed combination to completion and
-/// returns the full run — schedule, phase trace, positions — for harnesses
-/// (figures, SVG rendering) that need more than aggregate numbers.
-///
-/// # Errors
-///
-/// Registry errors, validation failures, or an [`ExpError::Unsupported`]
-/// combination (centralized baselines have no schedule, so only
-/// [`AlgSpec::Distributed`] is accepted here).
-#[deprecated(note = "use Engine::new(EngineConfig::default()).single(...)")]
-pub fn run_single(spec: &ScenarioSpec, alg: AlgSpec, seed: u64) -> Result<SingleRun, ExpError> {
-    single_full(
-        spec,
-        alg,
-        seed,
-        ParPool::sequential(),
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// [`run_single`] with an explicit [`ParPool`] for deterministic intra-run
-/// parallelism — the `--sim-threads` execution path. The returned run is
-/// bit-identical for any pool width.
-///
-/// # Errors
-///
-/// As [`run_single`].
-#[deprecated(note = "use Engine::single with EngineConfig::sim_threads")]
-pub fn run_single_with(
+/// The instance, input tuple and world of a stats or compressed job;
+/// adversarial scenarios fail here, since they need the full profile.
+fn concrete_world(
     spec: &ScenarioSpec,
-    alg: AlgSpec,
     seed: u64,
-    pool: ParPool,
-) -> Result<SingleRun, ExpError> {
-    single_full(
-        spec,
-        alg,
-        seed,
-        pool,
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// The aggregate-only measurements of one constant-memory run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StatsRun {
-    /// Number of sleeping robots.
-    pub n: usize,
-    /// Connectivity parameter ℓ handed to the algorithm.
-    pub ell: f64,
-    /// Radius bound ρ handed to the algorithm.
-    pub rho: f64,
-    /// Time the last robot was woken.
-    pub makespan: f64,
-    /// Time the last robot stopped moving.
-    pub completion_time: f64,
-    /// Worst per-robot travel.
-    pub max_energy: f64,
-    /// Total travel of the swarm.
-    pub total_energy: f64,
-    /// `look` snapshots taken.
-    pub looks: usize,
-    /// Whether every robot ended awake.
-    pub all_awake: bool,
-    /// Recorder heap footprint (deterministic estimate, bytes).
-    pub peak_mem_bytes: usize,
-}
-
-/// Runs one scenario × algorithm × seed combination under the constant-
-/// memory [`freezetag_sim::StatsRecorder`]: no schedule is kept, no
-/// validation runs, no ξ_ℓ is measured — only the aggregate numbers, which
-/// match a full-profile run bit-for-bit. This is the execution path behind
-/// `--profile stats` and the only tractable one at 10⁵–10⁶ robots.
-///
-/// # Errors
-///
-/// Registry errors, or [`ExpError::Unsupported`] for non-distributed
-/// algorithms and adversarial scenarios (those require full schedules).
-#[deprecated(note = "use Engine::new(EngineConfig::default()).single_stats(...)")]
-pub fn run_single_stats(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-) -> Result<StatsRun, ExpError> {
-    single_stats(
-        spec,
-        alg,
-        seed,
-        ParPool::sequential(),
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// [`run_single_stats`] with an explicit [`ParPool`] for deterministic
-/// intra-run parallelism — the `--profile stats --sim-threads` execution
-/// path that turns one 10⁶-robot job from one-core-bound into
-/// hardware-bound. Aggregates (including `peak_mem_bytes`) are
-/// bit-identical for any pool width.
-///
-/// # Errors
-///
-/// As [`run_single_stats`].
-#[deprecated(note = "use Engine::single_stats with EngineConfig::sim_threads")]
-pub fn run_single_stats_with(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-    pool: ParPool,
-) -> Result<StatsRun, ExpError> {
-    single_stats(
-        spec,
-        alg,
-        seed,
-        pool,
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// The stats-profile single-run core: constant-memory recorder, recycled
-/// from the worker-resident [`JobContext`] when one is banked there.
-pub(crate) fn single_stats(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-    pool: ParPool,
-    ctx: &mut JobContext,
-) -> Result<StatsRun, ExpError> {
-    let AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    } = alg
-    else {
-        return Err(ExpError::Unsupported(format!(
-            "run_single_stats needs a distributed algorithm, got {}",
-            alg.label()
-        )));
-    };
+    pool: &ParPool,
+) -> Result<(Instance, AdmissibleTuple, ConcreteWorld), ExpError> {
     let inst = registry::build_instance(&spec.generator, &spec.params, seed)
         .map_err(|e| ExpError::Registry(format!("scenario '{}': {e}", spec.name)))?;
-    let tuple = tuple_for(spec, &inst, &pool)?;
-    let world = ConcreteWorld::with_pool(&inst, &pool);
-    let n = inst.n();
-    drop(inst); // the world owns its own flat copy; free the Vec<Point>
-    let recorder = match ctx.stats_recorder.take() {
-        Some(mut r) => {
-            r.recycle(n);
-            r
+    let tuple = tuple_for(spec, &inst, pool)?;
+    let world = ConcreteWorld::with_pool(&inst, pool);
+    Ok((inst, tuple, world))
+}
+
+/// Runs one distributed job under `profile` and summarizes it. Only the
+/// full profile accepts adversarial scenarios and measures ξ_ℓ.
+fn simulate(
+    spec: &ScenarioSpec,
+    alg: AlgSpec,
+    seed: u64,
+    profile: Profile,
+    pool: ParPool,
+    ctx: &mut JobContext,
+) -> Result<Measured, ExpError> {
+    match profile {
+        Profile::Full => {
+            let run = single_full(spec, alg, seed, pool, ctx)?;
+            Ok(Measured {
+                n: run.n,
+                ell: run.ell,
+                rho: run.rho,
+                xi_ell: run.xi_ell,
+                makespan: run.report.makespan,
+                completion_time: run.report.completion_time,
+                max_energy: run.report.max_energy,
+                total_energy: run.report.total_energy,
+                looks: run.report.looks,
+                all_awake: run.report.all_awake,
+                peak_mem_bytes: run.schedule.memory_bytes() as f64,
+            })
         }
-        None => StatsRecorder::with_capacity(n),
-    };
-    let mut sim = Sim::with_recorder(world, recorder)
-        .with_pool(pool)
-        .with_cancel(ctx.cancel.clone());
-    dispatch(&mut sim, &tuple, algorithm, strategy, &mut ctx.scratch)?;
-    let looks = sim.world().look_count();
-    let all_awake = sim.world().all_awake();
-    let (_, rec, _) = sim.into_recorder_parts();
-    let out = StatsRun {
-        n: tuple.n,
-        ell: tuple.ell,
-        rho: tuple.rho,
-        makespan: rec.makespan(),
-        completion_time: rec.completion_time(),
-        max_energy: rec.max_energy(),
-        total_energy: rec.total_energy(),
-        looks,
-        all_awake,
-        peak_mem_bytes: rec.memory_bytes(),
-    };
-    // Bank the recorder for the worker's next stats job.
-    ctx.stats_recorder = Some(rec);
-    Ok(out)
-}
-
-/// The measurements of one compressed-recorder run: the aggregate numbers
-/// of a [`StatsRun`] plus the codec's own footprint figures. Unlike the
-/// stats path, every compressed run has passed the streaming validator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompressedRun {
-    /// Number of sleeping robots.
-    pub n: usize,
-    /// Connectivity parameter ℓ handed to the algorithm.
-    pub ell: f64,
-    /// Radius bound ρ handed to the algorithm.
-    pub rho: f64,
-    /// Time the last robot was woken.
-    pub makespan: f64,
-    /// Time the last robot stopped moving.
-    pub completion_time: f64,
-    /// Worst per-robot travel.
-    pub max_energy: f64,
-    /// Total travel of the swarm.
-    pub total_energy: f64,
-    /// `look` snapshots taken.
-    pub looks: usize,
-    /// Whether every robot ended awake.
-    pub all_awake: bool,
-    /// Recorder heap footprint (deterministic estimate, bytes).
-    pub peak_mem_bytes: usize,
-    /// Encoded schedule payload alone (segment + wake streams, bytes).
-    pub compressed_bytes: usize,
-    /// Encoded payload divided by the number of recorded move segments.
-    pub bytes_per_move: f64,
-}
-
-/// Runs one scenario × algorithm × seed combination under the
-/// [`freezetag_sim::CompressedRecorder`]: the full schedule is kept in
-/// delta-encoded blocks (~an order of magnitude smaller than the flat
-/// segment store) and the run is checked by the streaming validator,
-/// block by block — full-fidelity validation at `--profile stats` scale.
-/// No ξ_ℓ is measured. The aggregate numbers match a full-profile run
-/// bit-for-bit. This is the execution path behind `--profile compressed`.
-///
-/// # Errors
-///
-/// Registry errors, validation failures, or [`ExpError::Unsupported`] for
-/// non-distributed algorithms and adversarial scenarios (the theorem
-/// checks need a materialized [`Schedule`]).
-#[deprecated(note = "use Engine::new(EngineConfig::default()).single_compressed(...)")]
-pub fn run_single_compressed(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-) -> Result<CompressedRun, ExpError> {
-    single_compressed(
-        spec,
-        alg,
-        seed,
-        ParPool::sequential(),
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// [`run_single_compressed`] with an explicit [`ParPool`] for
-/// deterministic intra-run parallelism — the
-/// `--profile compressed --sim-threads` execution path. All returned
-/// numbers (including `peak_mem_bytes`) are bit-identical for any pool
-/// width.
-///
-/// # Errors
-///
-/// As [`run_single_compressed`].
-#[deprecated(note = "use Engine::single_compressed with EngineConfig::sim_threads")]
-pub fn run_single_compressed_with(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-    pool: ParPool,
-) -> Result<CompressedRun, ExpError> {
-    single_compressed(
-        spec,
-        alg,
-        seed,
-        pool,
-        &mut JobContext::new(CancelToken::never()),
-    )
-}
-
-/// The compressed-profile single-run core: delta-encoded schedule blocks
-/// plus streaming validation.
-pub(crate) fn single_compressed(
-    spec: &ScenarioSpec,
-    alg: AlgSpec,
-    seed: u64,
-    pool: ParPool,
-    ctx: &mut JobContext,
-) -> Result<CompressedRun, ExpError> {
-    let AlgSpec::Distributed {
-        algorithm,
-        strategy,
-    } = alg
-    else {
-        return Err(ExpError::Unsupported(format!(
-            "run_single_compressed needs a distributed algorithm, got {}",
-            alg.label()
-        )));
-    };
-    let inst = registry::build_instance(&spec.generator, &spec.params, seed)
-        .map_err(|e| ExpError::Registry(format!("scenario '{}': {e}", spec.name)))?;
-    let tuple = tuple_for(spec, &inst, &pool)?;
-    // The instance stays alive (unlike the stats path): the streaming
-    // validator needs the initial positions to check wake sites.
-    let world = ConcreteWorld::with_pool(&inst, &pool);
-    let mut sim = Sim::with_compressed(world)
-        .with_pool(pool)
-        .with_cancel(ctx.cancel.clone());
-    dispatch(&mut sim, &tuple, algorithm, strategy, &mut ctx.scratch)?;
-    let looks = sim.world().look_count();
-    let all_awake = sim.world().all_awake();
-    let (_, rec, _) = sim.into_recorder_parts();
-    let label = AlgSpec::Distributed {
-        algorithm,
-        strategy,
+        Profile::Stats => {
+            let (inst, tuple, world) = concrete_world(spec, seed, &pool)?;
+            let n = inst.n();
+            // The world owns its own flat copy of the points: freeing the
+            // instance before the run sets the peak RSS of a 10⁶-robot job.
+            drop(inst);
+            let recorder = match ctx.stats_recorder.take() {
+                Some(mut r) => {
+                    r.recycle(n);
+                    r
+                }
+                None => StatsRecorder::with_capacity(n),
+            };
+            let (world, rec, _) = drive(world, recorder, &tuple, alg, pool, ctx)?;
+            let m = Measured {
+                n: tuple.n,
+                ell: tuple.ell,
+                rho: tuple.rho,
+                xi_ell: None,
+                makespan: rec.makespan(),
+                completion_time: rec.completion_time(),
+                max_energy: rec.max_energy(),
+                total_energy: rec.total_energy(),
+                looks: world.look_count(),
+                all_awake: world.all_awake(),
+                peak_mem_bytes: rec.memory_bytes() as f64,
+            };
+            // Bank the recorder for the worker's next stats job.
+            ctx.stats_recorder = Some(rec);
+            Ok(m)
+        }
+        Profile::Compressed => {
+            let (inst, tuple, world) = concrete_world(spec, seed, &pool)?;
+            let recorder = CompressedRecorder::with_capacity(world.n());
+            let (world, rec, _) = drive(world, recorder, &tuple, alg, pool, ctx)?;
+            // The instance outlives the run (unlike the stats arm): the
+            // streaming validator needs the initial positions to check
+            // wake sites.
+            let vr = validate_compressed(
+                &rec,
+                inst.source(),
+                inst.positions(),
+                &ValidationOptions::default(),
+            )
+            .map_err(|e| ExpError::validation(&spec.name, &alg.label(), e))?;
+            Ok(Measured {
+                n: tuple.n,
+                ell: tuple.ell,
+                rho: tuple.rho,
+                xi_ell: None,
+                makespan: vr.makespan,
+                completion_time: vr.completion_time,
+                max_energy: vr.max_energy,
+                total_energy: vr.total_energy,
+                looks: world.look_count(),
+                all_awake: world.all_awake(),
+                peak_mem_bytes: rec.memory_bytes() as f64,
+            })
+        }
     }
-    .label();
-    let vr = validate_compressed(
-        &rec,
-        inst.source(),
-        inst.positions(),
-        &ValidationOptions::default(),
-    )
-    .map_err(|e| ExpError::validation(&spec.name, &label, e))?;
-    Ok(CompressedRun {
-        n: tuple.n,
-        ell: tuple.ell,
-        rho: tuple.rho,
-        makespan: vr.makespan,
-        completion_time: vr.completion_time,
-        max_energy: vr.max_energy,
-        total_energy: vr.total_energy,
-        looks,
-        all_awake,
-        peak_mem_bytes: rec.memory_bytes(),
-        compressed_bytes: rec.compressed_bytes(),
-        bytes_per_move: rec.bytes_per_move(),
-    })
 }
 
 fn central_job(
@@ -668,7 +472,7 @@ fn central_job(
     seed: u64,
     pool: &ParPool,
     cancel: &CancelToken,
-) -> Result<(usize, f64, f64, f64, f64), ExpError> {
+) -> Result<Measured, ExpError> {
     let inst = registry::build_instance(&spec.generator, &spec.params, seed)?;
     let items: Vec<(RobotId, Point)> = inst
         .positions()
@@ -676,7 +480,7 @@ fn central_job(
         .enumerate()
         .map(|(i, &p)| (RobotId::sleeper(i), p))
         .collect();
-    let (makespan, total) = match alg {
+    let (makespan, total_energy) = match alg {
         AlgSpec::Central(strategy) => {
             let tree = strategy.build(inst.source(), &items);
             (tree.makespan(), tree.total_length())
@@ -708,15 +512,29 @@ fn central_job(
             let m = optimal_makespan(inst.source(), inst.positions());
             (m, f64::NAN)
         }
-        AlgSpec::Distributed { .. } => unreachable!("routed to run_single"),
+        AlgSpec::Distributed { .. } => unreachable!("routed to simulate"),
     };
     let tuple = inst.admissible_tuple();
-    Ok((inst.n(), tuple.ell, tuple.rho, makespan, total))
+    Ok(Measured {
+        n: inst.n(),
+        ell: tuple.ell,
+        rho: tuple.rho,
+        xi_ell: None,
+        makespan,
+        completion_time: makespan,
+        // A wake tree's makespan is a multi-robot critical path, not any
+        // single robot's travel — per-robot energy is simply not measured
+        // by the centralized baselines.
+        max_energy: f64::NAN,
+        total_energy,
+        looks: 0,
+        all_awake: true,
+        peak_mem_bytes: f64::NAN,
+    })
 }
 
 /// Executes one job of a plan inside a worker-resident [`JobContext`] —
-/// the single execution path behind the [`Engine`](crate::Engine) workers
-/// and (through a throwaway context) the deprecated shims.
+/// the single execution path behind the [`Engine`](crate::Engine) workers.
 pub(crate) fn execute_job_ctx(
     plan: &ExperimentPlan,
     job: &JobSpec,
@@ -724,111 +542,33 @@ pub(crate) fn execute_job_ctx(
 ) -> Result<JobResult, ExpError> {
     let spec = &plan.scenarios[job.scenario];
     let pool = ParPool::new(plan.sim_threads.max(1));
-    let generator = registry::lookup(&spec.generator)
-        .map(|g| g.name.to_string())
-        .unwrap_or_else(|| spec.generator.clone());
     let started = Instant::now();
-    let result = match job.algorithm {
-        AlgSpec::Distributed { .. } if plan.profile == Profile::Compressed => {
-            let run = single_compressed(spec, job.algorithm, job.seed, pool, ctx)?;
-            JobResult {
-                job: job.index,
-                scenario: spec.name.clone(),
-                generator,
-                algorithm: job.algorithm.label(),
-                seed: job.seed,
-                seed_index: job.seed_index,
-                n: run.n,
-                ell: run.ell,
-                rho: run.rho,
-                xi_ell: None,
-                makespan: run.makespan,
-                completion_time: run.completion_time,
-                max_energy: run.max_energy,
-                total_energy: run.total_energy,
-                looks: run.looks,
-                all_awake: run.all_awake,
-                peak_mem_bytes: run.peak_mem_bytes as f64,
-                wall_time_s: 0.0,
-            }
-        }
-        AlgSpec::Distributed { .. } if plan.profile == Profile::Stats => {
-            let run = single_stats(spec, job.algorithm, job.seed, pool, ctx)?;
-            JobResult {
-                job: job.index,
-                scenario: spec.name.clone(),
-                generator,
-                algorithm: job.algorithm.label(),
-                seed: job.seed,
-                seed_index: job.seed_index,
-                n: run.n,
-                ell: run.ell,
-                rho: run.rho,
-                xi_ell: None,
-                makespan: run.makespan,
-                completion_time: run.completion_time,
-                max_energy: run.max_energy,
-                total_energy: run.total_energy,
-                looks: run.looks,
-                all_awake: run.all_awake,
-                peak_mem_bytes: run.peak_mem_bytes as f64,
-                wall_time_s: 0.0,
-            }
-        }
+    let m = match job.algorithm {
         AlgSpec::Distributed { .. } => {
-            let run = single_full(spec, job.algorithm, job.seed, pool, ctx)?;
-            JobResult {
-                job: job.index,
-                scenario: spec.name.clone(),
-                generator,
-                algorithm: job.algorithm.label(),
-                seed: job.seed,
-                seed_index: job.seed_index,
-                n: run.n,
-                ell: run.ell,
-                rho: run.rho,
-                xi_ell: run.xi_ell,
-                makespan: run.report.makespan,
-                completion_time: run.report.completion_time,
-                max_energy: run.report.max_energy,
-                total_energy: run.report.total_energy,
-                looks: run.report.looks,
-                all_awake: run.report.all_awake,
-                peak_mem_bytes: run.schedule.memory_bytes() as f64,
-                wall_time_s: 0.0,
-            }
+            simulate(spec, job.algorithm, job.seed, plan.profile, pool, ctx)?
         }
-        AlgSpec::Central(_) | AlgSpec::CentralAnytime | AlgSpec::CentralOptimal => {
-            let (n, ell, rho, makespan, total_energy) =
-                central_job(spec, job.algorithm, job.seed, &pool, &ctx.cancel)?;
-            JobResult {
-                job: job.index,
-                scenario: spec.name.clone(),
-                generator,
-                algorithm: job.algorithm.label(),
-                seed: job.seed,
-                seed_index: job.seed_index,
-                n,
-                ell,
-                rho,
-                xi_ell: None,
-                makespan,
-                completion_time: makespan,
-                // A wake tree's makespan is a multi-robot critical path,
-                // not any single robot's travel — per-robot energy is
-                // simply not measured by the centralized baselines.
-                max_energy: f64::NAN,
-                total_energy,
-                looks: 0,
-                all_awake: true,
-                peak_mem_bytes: f64::NAN,
-                wall_time_s: 0.0,
-            }
-        }
+        alg => central_job(spec, alg, job.seed, &pool, &ctx.cancel)?,
     };
     Ok(JobResult {
+        job: job.index,
+        scenario: spec.name.clone(),
+        generator: registry::lookup(&spec.generator)
+            .map_or_else(|| spec.generator.clone(), |g| g.name.to_string()),
+        algorithm: job.algorithm.label(),
+        seed: job.seed,
+        seed_index: job.seed_index,
+        n: m.n,
+        ell: m.ell,
+        rho: m.rho,
+        xi_ell: m.xi_ell,
+        makespan: m.makespan,
+        completion_time: m.completion_time,
+        max_energy: m.max_energy,
+        total_energy: m.total_energy,
+        looks: m.looks,
+        all_awake: m.all_awake,
+        peak_mem_bytes: m.peak_mem_bytes,
         wall_time_s: started.elapsed().as_secs_f64(),
-        ..result
     })
 }
 
@@ -847,58 +587,12 @@ pub fn inter_job_workers(threads: usize, sim_threads: usize, jobs: usize) -> usi
     (budget / sim_threads.max(1)).clamp(1, jobs.max(1))
 }
 
-/// Executes the plan's full cross-product on a worker pool and returns
-/// the results in job order. `threads` is the total core budget, split
-/// between inter-job workers and each job's `sim_threads`-wide intra-job
-/// pool by [`inter_job_workers`]. All result fields except `wall_time_s`
-/// are independent of both thread axes.
-///
-/// # Errors
-///
-/// Plan validation errors before anything runs. A failing job makes
-/// workers stop picking up further jobs (in-flight jobs finish), and the
-/// lowest-indexed recorded failure is returned.
-#[deprecated(note = "use Engine::with_threads(threads).run(plan)")]
-pub fn run_plan(plan: &ExperimentPlan, threads: usize) -> Result<Vec<JobResult>, ExpError> {
-    crate::engine::Engine::with_threads(threads).run(plan)
-}
-
-/// [`run_plan`] without the `O(jobs)` result vector: every [`JobResult`]
-/// is handed to `on_result` in strict job order as soon as it (and every
-/// lower-indexed job) has finished, then dropped. Workers run ahead of
-/// the in-order emission point by at most a bounded reorder window, so
-/// peak memory is `O(workers)` results regardless of plan size — the
-/// execution path behind `dftp sweep --out FILE`, where each record goes
-/// straight to disk.
-///
-/// Everything `on_result` observes is byte-identical (bar `wall_time_s`)
-/// to the corresponding entry of [`run_plan`]'s result vector, for any
-/// thread count.
-///
-/// # Errors
-///
-/// Plan validation errors before anything runs. A failing job makes
-/// workers stop picking up further jobs (in-flight jobs finish), and the
-/// lowest-indexed failure is returned; results preceding it have already
-/// been emitted by then — callers streaming to a file should treat an
-/// `Err` as truncating the output.
-#[deprecated(note = "use Engine::with_threads(threads).run_streaming(plan, on_result)")]
-pub fn run_plan_streaming(
-    plan: &ExperimentPlan,
-    threads: usize,
-    on_result: impl FnMut(&JobResult),
-) -> Result<(), ExpError> {
-    crate::engine::Engine::with_threads(threads).run_streaming(plan, on_result)
-}
-
-// The shims above are this module's public contract with pre-Engine
-// callers, so the tests exercise the deprecated surface on purpose —
-// pinning that every shim still produces the Engine's exact output.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::plan::ScenarioSpec;
+    use crate::Engine;
+    use freezetag_central::WakeStrategy;
 
     fn tiny_plan() -> ExperimentPlan {
         ExperimentPlan::new("tiny")
@@ -914,8 +608,10 @@ mod tests {
     }
 
     #[test]
-    fn run_plan_reports_in_job_order_and_wakes_everyone() {
-        let results = run_plan(&tiny_plan(), 2).expect("plan runs");
+    fn plan_reports_in_job_order_and_wakes_everyone() {
+        let results = Engine::with_threads(2)
+            .run(&tiny_plan())
+            .expect("plan runs");
         assert_eq!(results.len(), 4);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.job, i);
@@ -931,8 +627,8 @@ mod tests {
     #[test]
     fn results_are_identical_for_any_thread_count() {
         let plan = tiny_plan();
-        let a = run_plan(&plan, 1).unwrap();
-        let b = run_plan(&plan, 4).unwrap();
+        let a = Engine::with_threads(1).run(&plan).unwrap();
+        let b = Engine::with_threads(4).run(&plan).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             let mut y = y.clone();
@@ -944,9 +640,11 @@ mod tests {
     #[test]
     fn results_are_identical_for_any_sim_thread_count() {
         let base = tiny_plan();
-        let a = run_plan(&base, 1).unwrap();
+        let a = Engine::with_threads(1).run(&base).unwrap();
         for sim_threads in [2, 4] {
-            let b = run_plan(&base.clone().sim_threads(sim_threads), 2).unwrap();
+            let b = Engine::with_threads(2)
+                .run(&base.clone().sim_threads(sim_threads))
+                .unwrap();
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 let mut y = y.clone();
@@ -958,8 +656,10 @@ mod tests {
 
     #[test]
     fn compressed_profile_matches_full_profile_bitwise() {
-        let full = run_plan(&tiny_plan(), 2).unwrap();
-        let compressed = run_plan(&tiny_plan().profile(Profile::Compressed), 2).unwrap();
+        let full = Engine::with_threads(2).run(&tiny_plan()).unwrap();
+        let compressed = Engine::with_threads(2)
+            .run(&tiny_plan().profile(Profile::Compressed))
+            .unwrap();
         assert_eq!(full.len(), compressed.len());
         for (f, c) in full.iter().zip(&compressed) {
             assert_eq!(f.makespan.to_bits(), c.makespan.to_bits(), "job {}", f.job);
@@ -979,30 +679,33 @@ mod tests {
     }
 
     #[test]
-    fn compressed_single_run_reports_codec_figures() {
+    fn compressed_job_validates_and_single_runs_refuse_central_baselines() {
         let spec = ScenarioSpec::new("disk")
             .with("n", 30.0)
             .with("radius", 6.0);
-        let run = run_single_compressed(&spec, Algorithm::Wave.into(), 5).unwrap();
+        let plan = ExperimentPlan::new("one")
+            .scenario(spec.clone())
+            .algorithm(Algorithm::Wave)
+            .plan_seed(5)
+            .profile(Profile::Compressed);
+        let run = &Engine::default().run(&plan).unwrap()[0];
         assert!(run.all_awake);
-        assert!(run.compressed_bytes > 0);
-        assert!(run.compressed_bytes < run.peak_mem_bytes);
-        assert!(
-            run.bytes_per_move.is_finite() && run.bytes_per_move > 0.0,
-            "bytes/move {}",
-            run.bytes_per_move
-        );
-        let err = run_single_compressed(&spec, AlgSpec::CentralOptimal, 5).unwrap_err();
+        assert!(run.peak_mem_bytes > 0.0);
+        let err = Engine::default()
+            .single(&spec, AlgSpec::CentralOptimal, 5)
+            .unwrap_err();
         assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
     }
 
     #[test]
-    fn streaming_runner_emits_run_plan_results_in_order() {
+    fn streaming_runner_emits_the_buffered_results_in_order() {
         let plan = tiny_plan().profile(Profile::Compressed);
-        let buffered = run_plan(&plan, 2).unwrap();
+        let buffered = Engine::with_threads(2).run(&plan).unwrap();
         for threads in [1, 4] {
             let mut streamed = Vec::new();
-            run_plan_streaming(&plan, threads, |r| streamed.push(r.clone())).unwrap();
+            Engine::with_threads(threads)
+                .run_streaming(&plan, |r| streamed.push(r.clone()))
+                .unwrap();
             assert_eq!(streamed.len(), buffered.len());
             for (s, b) in streamed.iter().zip(&buffered) {
                 let mut s = s.clone();
@@ -1027,7 +730,9 @@ mod tests {
             .algorithm(AlgSpec::CentralOptimal)
             .seeds(2);
         let mut streamed = Vec::new();
-        let err = run_plan_streaming(&plan, 2, |r| streamed.push(r.job)).unwrap_err();
+        let err = Engine::with_threads(2)
+            .run_streaming(&plan, |r| streamed.push(r.job))
+            .unwrap_err();
         assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
         assert_eq!(streamed, vec![0, 1], "AGrid jobs precede the failure");
     }
@@ -1047,17 +752,20 @@ mod tests {
         let spec = ScenarioSpec::new("disk")
             .with("n", 15.0)
             .with("radius", 5.0);
-        let run = run_single(&spec, AlgSpec::separator_with(WakeStrategy::Chain), 3).unwrap();
+        let run = Engine::default()
+            .single(&spec, AlgSpec::separator_with(WakeStrategy::Chain), 3)
+            .unwrap();
         assert!(run.report.all_awake);
-        let err = run_single(
-            &spec,
-            AlgSpec::Distributed {
-                algorithm: Algorithm::Grid,
-                strategy: Some(WakeStrategy::Chain),
-            },
-            3,
-        )
-        .unwrap_err();
+        let err = Engine::default()
+            .single(
+                &spec,
+                AlgSpec::Distributed {
+                    algorithm: Algorithm::Grid,
+                    strategy: Some(WakeStrategy::Chain),
+                },
+                3,
+            )
+            .unwrap_err();
         assert!(matches!(err, ExpError::Unsupported(_)));
     }
 
@@ -1068,7 +776,7 @@ mod tests {
             .algorithm(AlgSpec::Central(WakeStrategy::Quadtree))
             .algorithm(AlgSpec::Central(WakeStrategy::Greedy))
             .algorithm(AlgSpec::CentralOptimal);
-        let results = run_plan(&plan, 2).unwrap();
+        let results = Engine::with_threads(2).run(&plan).unwrap();
         assert_eq!(results.len(), 3);
         let opt = results[2].makespan;
         assert!(opt > 0.0);
@@ -1086,7 +794,7 @@ mod tests {
             .algorithm(AlgSpec::CentralOptimal)
             .algorithm(AlgSpec::Central(WakeStrategy::Quadtree))
             .seeds(2);
-        let results = run_plan(&plan, 2).expect("plan runs");
+        let results = Engine::with_threads(2).run(&plan).expect("plan runs");
         let aggregates = crate::agg::aggregate(&results);
         assert_eq!(aggregates.len(), 2);
         assert!(aggregates[0].max_energy.mean.is_nan());
@@ -1112,7 +820,7 @@ mod tests {
             .algorithm(AlgSpec::CentralOptimal)
             .algorithm(Algorithm::Grid)
             .seeds(4);
-        let err = run_plan(&plan, 2).unwrap_err();
+        let err = Engine::with_threads(2).run(&plan).unwrap_err();
         assert!(matches!(err, ExpError::Unsupported(_)), "{err}");
     }
 
@@ -1126,7 +834,7 @@ mod tests {
                     .with("n", 40.0),
             )
             .algorithm(Algorithm::Separator);
-        let results = run_plan(&plan, 1).unwrap();
+        let results = Engine::with_threads(1).run(&plan).unwrap();
         assert_eq!(results.len(), 1);
         assert!(results[0].all_awake, "adversarial robots must all wake");
         assert!(results[0].looks > 0);

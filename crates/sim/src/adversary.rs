@@ -7,7 +7,7 @@ use freezetag_instances::adversarial::AdversarialLayout;
 /// Number of candidate cells across a disk diameter; ~`π/4 · RES²` cells
 /// per disk. 20 gives ≈ 314 cells — fine-grained enough that the
 /// discretized adversary loses only an `O(1)` factor of the `Ω(area/2)`
-/// exploration work (see DESIGN.md, substitution 3).
+/// exploration work (see ARCHITECTURE.md §10, item 3).
 const RES: usize = 20;
 
 #[derive(Debug, Clone)]

@@ -52,9 +52,9 @@ pub trait WorldView {
     /// in between return the same sightings, regardless of what other
     /// `look`s happened. Concrete worlds qualify; the adaptive adversary
     /// does **not** (every snapshot eliminates hiding candidates, so look
-    /// *history* is state). Drivers consult this before reordering or
-    /// fanning out sensing, e.g. `AGrid`'s slot-batched frontier
-    /// expansion.
+    /// *history* is state). Only pure-sensing worlds may fan
+    /// [`WorldView::look_batch_into`] out over a pool. The flag describes
+    /// the world to wrappers and tests; no driver branches on it.
     fn pure_sensing(&self) -> bool {
         false
     }

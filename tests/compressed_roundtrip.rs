@@ -161,37 +161,59 @@ proptest! {
     }
 }
 
-/// A deterministic footprint pin on a real algorithm run through the
-/// engine's own execution paths (the synthetic ≤ 12 bytes/move pin on
-/// axis-aligned sweeps lives with the codec's unit tests; the Criterion
-/// harness measures the 10⁵ case).
+/// A deterministic footprint pin on a real algorithm run: the engine's
+/// full and compressed profiles must agree bitwise with the compressed
+/// store well below the flat one, and the codec itself — driven directly
+/// on the engine's instance and ℓ — must stay within 12 bytes/move (the
+/// synthetic pin on axis-aligned sweeps lives with the codec's unit
+/// tests; the Criterion harness measures the 10⁵ case).
 #[test]
 fn real_wave_run_compresses_well_below_the_flat_store() {
-    use freezetag::exp::{AlgSpec, Engine, ScenarioSpec};
+    use freezetag::core::{a_wave, AWaveConfig};
+    use freezetag::exp::{Engine, ExperimentPlan, Profile, ScenarioSpec};
     let spec = ScenarioSpec::new("wave_100k")
         .with("n", 2000.0)
         .with("radius", 20.0);
-    let alg = AlgSpec::from(Algorithm::Wave);
+    let plan = |profile| {
+        ExperimentPlan::new("wave")
+            .scenario(spec.clone())
+            .algorithm(Algorithm::Wave)
+            .profile(profile)
+    };
     let engine = Engine::default();
-    let full = engine.single(&spec, alg, 7).expect("full run");
+    let full = engine
+        .run(&plan(Profile::Full))
+        .expect("full run")
+        .remove(0);
     let comp = engine
-        .single_compressed(&spec, alg, 7)
-        .expect("compressed run");
+        .run(&plan(Profile::Compressed))
+        .expect("compressed run")
+        .remove(0);
     assert!(comp.all_awake);
     assert_eq!(
-        full.report.makespan.to_bits(),
+        full.makespan.to_bits(),
         comp.makespan.to_bits(),
         "engine paths must agree bitwise"
     );
     assert!(
-        comp.bytes_per_move <= 12.0,
-        "AWave encodes mostly axis-aligned sweeps; got {:.2} B/move",
-        comp.bytes_per_move
-    );
-    assert!(
-        comp.peak_mem_bytes * 3 <= full.schedule.memory_bytes(),
+        comp.peak_mem_bytes * 3.0 <= full.peak_mem_bytes,
         "compressed {} vs flat {} bytes",
         comp.peak_mem_bytes,
-        full.schedule.memory_bytes()
+        full.peak_mem_bytes
+    );
+    let inst = registry::build_instance(&spec.generator, &spec.params, comp.seed).expect("builds");
+    let mut sim = Sim::with_compressed(ConcreteWorld::new(&inst));
+    a_wave(&mut sim, &AWaveConfig { ell: comp.ell });
+    let (_, rec, _) = sim.into_recorder_parts();
+    assert_eq!(
+        rec.memory_bytes() as f64,
+        comp.peak_mem_bytes,
+        "the direct run must reproduce the engine's"
+    );
+    assert!(rec.compressed_bytes() < rec.memory_bytes());
+    assert!(
+        rec.bytes_per_move() <= 12.0,
+        "AWave encodes mostly axis-aligned sweeps; got {:.2} B/move",
+        rec.bytes_per_move()
     );
 }

@@ -10,14 +10,16 @@
 //! output bit.
 
 use freezetag::core::{run_algorithm, Algorithm};
-use freezetag::exp::{AlgSpec, Engine, EngineConfig, ScenarioSpec};
+use freezetag::exp::{
+    AlgSpec, Engine, EngineConfig, ExperimentPlan, JobResult, Profile, ScenarioSpec,
+};
 use freezetag::instances::registry;
 use freezetag::sim::{
     ConcreteWorld, ParPool, Recorder, RobotId, Schedule, Sim, StatsRecorder, WorldView,
 };
 use proptest::prelude::*;
 
-/// An engine whose single-run entry points execute with the given
+/// An engine whose [`Engine::single`] runs execute with the given
 /// intra-job pool width — the test-facing face of `--sim-threads`.
 fn sim_engine(sim_threads: usize) -> Engine {
     Engine::new(EngineConfig {
@@ -207,43 +209,43 @@ proptest! {
 /// A mid-size stats job (20k robots) where the batched sensing path
 /// genuinely fans out to worker threads (slot query batches exceed the
 /// parallel threshold), pinned bit-identical across pool widths through
-/// the engine's `--sim-threads` entry point.
+/// the plan's `sim_threads`.
 #[test]
 fn scale_family_stats_are_bitwise_identical_across_pools() {
-    let spec = ScenarioSpec::new("uniform_1m")
-        .with("n", 20_000.0)
-        .with("radius", 60.0);
-    let alg = AlgSpec::from(Algorithm::Grid);
-    let seq = sim_engine(1).single_stats(&spec, alg, 42).expect("runs");
-    for threads in [2, 4] {
-        let par = sim_engine(threads)
-            .single_stats(&spec, alg, 42)
+    let plan = ExperimentPlan::new("scale")
+        .scenario(
+            ScenarioSpec::new("uniform_1m")
+                .with("n", 20_000.0)
+                .with("radius", 60.0),
+        )
+        .algorithm(Algorithm::Grid)
+        .profile(Profile::Stats);
+    let run = |threads: usize| {
+        let mut results = Engine::default()
+            .run(&plan.clone().sim_threads(threads))
             .expect("runs");
-        assert_eq!(seq.n, par.n);
-        assert!(par.all_awake);
-        assert_eq!(
-            seq.makespan.to_bits(),
-            par.makespan.to_bits(),
-            "t={threads}"
-        );
-        assert_eq!(
-            seq.completion_time.to_bits(),
-            par.completion_time.to_bits(),
-            "t={threads}"
-        );
-        assert_eq!(
-            seq.max_energy.to_bits(),
-            par.max_energy.to_bits(),
-            "t={threads}"
-        );
-        assert_eq!(
-            seq.total_energy.to_bits(),
-            par.total_energy.to_bits(),
-            "t={threads}"
-        );
-        assert_eq!(seq.looks, par.looks, "t={threads}");
-        assert_eq!(seq.peak_mem_bytes, par.peak_mem_bytes, "t={threads}");
-        assert_eq!(seq.ell.to_bits(), par.ell.to_bits(), "t={threads}");
-        assert_eq!(seq.rho.to_bits(), par.rho.to_bits(), "t={threads}");
+        let mut r = results.remove(0);
+        r.wall_time_s = 0.0;
+        r
+    };
+    let seq = run(1);
+    assert_eq!(seq.n, 20_000);
+    assert!(seq.all_awake);
+    for threads in [2, 4] {
+        let par = run(threads);
+        assert_eq!(par, seq, "t={threads}");
+        let bits = |r: &JobResult| {
+            [
+                r.makespan,
+                r.completion_time,
+                r.max_energy,
+                r.total_energy,
+                r.peak_mem_bytes,
+                r.ell,
+                r.rho,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(&par), bits(&seq), "t={threads}");
     }
 }

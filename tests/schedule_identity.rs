@@ -7,15 +7,20 @@
 //! knowledge) code on one representative instance per concrete generator
 //! family, plus every Lemma 2 wake-strategy for `ASeparator` — a change to
 //! any wake time, segment endpoint, or event order flips the FNV-1a hash.
+//! The `AGrid` rows (two concrete families and one adaptive `theorem2`
+//! adversary) were captured while `AGrid` still ran the adversary through
+//! its interleaved per-group slot loop; they pin that the slot-batched
+//! executor reproduces that order on every world.
 //!
 //! To regenerate after an *intentional* schedule change (which also
 //! requires regenerating BENCH_results.json):
 //! `cargo test --release --test schedule_identity -- --ignored --nocapture`
 
 use freezetag::central::WakeStrategy;
-use freezetag::core::{a_separator, a_wave, ASeparatorConfig, AWaveConfig};
-use freezetag::instances::registry::{self, ParamMap};
-use freezetag::sim::{ConcreteWorld, Schedule, Sim, WorldView};
+use freezetag::core::{a_grid, a_separator, a_wave, AGridConfig, ASeparatorConfig, AWaveConfig};
+use freezetag::instances::registry::{self, Built, ParamMap};
+use freezetag::instances::AdmissibleTuple;
+use freezetag::sim::{AdversarialWorld, ConcreteWorld, Schedule, Sim, WorldView};
 
 /// FNV-1a over the full schedule: every timeline (robot, activation,
 /// segment endpoints/times) in deterministic order plus the wake log.
@@ -55,7 +60,7 @@ fn schedule_hash(schedule: &Schedule) -> u64 {
 }
 
 /// One pinned case: `(label, generator, params, seed, algorithm)` where
-/// algorithm is `"wave"` or a separator strategy name.
+/// algorithm is `"grid"`, `"wave"` or a separator strategy name.
 type Case = (
     &'static str,
     &'static str,
@@ -200,6 +205,27 @@ const CASES: &[Case] = &[
     ),
     ("path/sep", "theorem6", &[], 1, "quadtree"),
     ("path/wave", "theorem6", &[], 1, "wave"),
+    (
+        "disk/grid",
+        "uniform_disk",
+        &[("n", 60.0), ("radius", 12.0)],
+        1,
+        "grid",
+    ),
+    (
+        "snake/grid",
+        "snake",
+        &[("legs", 3.0), ("leg", 20.0), ("spacing", 1.5)],
+        1,
+        "grid",
+    ),
+    (
+        "theorem2/grid",
+        "theorem2",
+        &[("ell", 2.0), ("rho", 8.0), ("n", 40.0)],
+        1,
+        "grid",
+    ),
 ];
 
 /// Pinned hashes (see module docs). Captured on the seed (BTreeMap
@@ -233,16 +259,29 @@ const EXPECTED: &[(&str, u64)] = &[
     ("skewed/wave", 0x578246a75c75fc86),
     ("path/sep", 0x96eb296bbfd92b73),
     ("path/wave", 0x18bbf95e47bbb5b5),
+    ("disk/grid", 0x578cc12c29a1474f),
+    ("snake/grid", 0x16f7e6c37c289bf6),
+    ("theorem2/grid", 0xd7a6d3718c7e8723),
 ];
 
 fn run_case(case: &Case) -> u64 {
     let &(label, generator, params, seed, alg) = case;
     let params: ParamMap = params.iter().map(|&(k, v)| (k.to_string(), v)).collect();
-    let inst = registry::build_instance(generator, &params, seed)
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
-    let tuple = inst.admissible_tuple();
-    let mut sim = Sim::new(ConcreteWorld::new(&inst));
+    match registry::build(generator, &params, seed).unwrap_or_else(|e| panic!("{label}: {e}")) {
+        Built::Concrete(inst) => {
+            let tuple = inst.admissible_tuple();
+            run_alg(label, Sim::new(ConcreteWorld::new(&inst)), tuple, alg)
+        }
+        Built::Adversarial(layout) => {
+            let tuple = AdmissibleTuple::new(layout.ell, layout.rho, layout.n());
+            run_alg(label, Sim::new(AdversarialWorld::new(layout)), tuple, alg)
+        }
+    }
+}
+
+fn run_alg<W: WorldView>(label: &str, mut sim: Sim<W>, tuple: AdmissibleTuple, alg: &str) -> u64 {
     match alg {
+        "grid" => a_grid(&mut sim, &AGridConfig { ell: tuple.ell }),
         "wave" => a_wave(&mut sim, &AWaveConfig { ell: tuple.ell }),
         strategy => {
             let strategy = match strategy {

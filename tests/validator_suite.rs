@@ -1,6 +1,7 @@
 //! Systematic corruption matrix for the schedule validator: every class of
 //! model violation must be caught. The validator is the trust anchor of
-//! the whole reproduction (DESIGN.md §3), so it gets its own suite.
+//! the whole reproduction (ARCHITECTURE.md §10), so it gets its own
+//! suite.
 
 use freezetag::geometry::Point;
 use freezetag::instances::Instance;
