@@ -181,15 +181,15 @@ fn sweep_spacing() {
         let cols = (rect.width() / spacing).ceil().max(1.0) as usize;
         let rows_n = (rect.height() / spacing).ceil().max(1.0) as usize;
         let mut found = std::collections::BTreeSet::new();
+        let mut seen = Vec::new();
         for r in 0..rows_n {
             let y = rect.min().y + (r as f64 + 0.5) * rect.height() / rows_n as f64;
             for c in 0..cols {
                 let cc = if r % 2 == 0 { c } else { cols - 1 - c };
                 let x = rect.min().x + (cc as f64 + 0.5) * rect.width() / cols as f64;
                 sim.move_to(RobotId::SOURCE, Point::new(x, y));
-                for s in sim.look(RobotId::SOURCE) {
-                    found.insert(s.id);
-                }
+                sim.look_into(RobotId::SOURCE, &mut seen);
+                found.extend(seen.iter().map(|s| s.id));
             }
         }
         row(&[

@@ -197,6 +197,7 @@ fn section_infeasibility() {
         let mut spent = 0.0;
         let mut woken = 0usize;
         let mut pos = Point::ORIGIN;
+        let mut seen = Vec::new();
         for snap in freezetag_geometry::sweep::snapshot_positions(&rect) {
             let step = pos.dist(snap);
             if spent + step > budget {
@@ -205,7 +206,7 @@ fn section_infeasibility() {
             spent += step;
             pos = snap;
             sim.move_to(RobotId::SOURCE, snap);
-            let seen = sim.look(RobotId::SOURCE);
+            sim.look_into(RobotId::SOURCE, &mut seen);
             if let Some(s) = seen.first() {
                 sim.move_to(RobotId::SOURCE, s.pos);
                 sim.wake(RobotId::SOURCE, s.id);

@@ -29,7 +29,7 @@ use crate::knowledge::Knowledge;
 use crate::team::Team;
 use freezetag_geometry::{Point, Square};
 use freezetag_graph::CellGrid;
-use freezetag_sim::{Recorder, Sim, WorldView};
+use freezetag_sim::{Recorder, Sighting, Sim, WorldView};
 use std::cell::RefCell;
 
 /// Result of a [`df_sampling`] run.
@@ -81,6 +81,7 @@ pub(crate) fn df_sampling<W: WorldView, R: Recorder, F: Fn(Point) -> bool>(
     // them; `explored` holds visited positions, equally sparse.
     sample_grid.reset(ell);
     explored_grid.reset(ell);
+    let mut seen = Vec::new();
 
     // Sort(X): order seeds by the clockwise parameter of their projection
     // onto the region border (Section 6.5).
@@ -111,6 +112,7 @@ pub(crate) fn df_sampling<W: WorldView, R: Recorder, F: Fn(Point) -> bool>(
             &mut sample,
             &mut sample_grid,
             &mut recruits,
+            &mut seen,
             seed,
             &in_region,
         );
@@ -155,6 +157,7 @@ pub(crate) fn df_sampling<W: WorldView, R: Recorder, F: Fn(Point) -> bool>(
                         &mut sample,
                         &mut sample_grid,
                         &mut recruits,
+                        &mut seen,
                         q,
                         &in_region,
                     );
@@ -189,6 +192,7 @@ fn visit<W: WorldView, R: Recorder, F: Fn(Point) -> bool>(
     sample: &mut Vec<Point>,
     sample_grid: &mut CellGrid,
     recruits: &mut Vec<freezetag_sim::RobotId>,
+    seen: &mut Vec<Sighting>,
     pos: Point,
     in_region: &F,
 ) {
@@ -204,7 +208,8 @@ fn visit<W: WorldView, R: Recorder, F: Fn(Point) -> bool>(
     // A look at the position itself keeps the adversarial world honest
     // (the robot must be discoverable where we stand) and refreshes
     // knowledge.
-    for s in sim.look(team.lead()) {
+    sim.look_into(team.lead(), seen);
+    for s in seen.iter() {
         knowledge.note_sighting(s.id, s.pos);
     }
     // Wake every known sleeping robot exactly at this position (usually

@@ -40,7 +40,9 @@ enum DiskState {
 /// let mut w = AdversarialWorld::new(theorem3_layout(4.0, 1));
 /// // One snapshot at the source reveals nothing: the robot hides in the
 /// // unexplored part of the radius-4 disk.
-/// assert!(w.look(Point::ORIGIN, 0.0).is_empty());
+/// let mut seen = Vec::new();
+/// w.look_into(Point::ORIGIN, 0.0, &mut seen);
+/// assert!(seen.is_empty());
 /// assert!(w.position(freezetag_sim::RobotId::sleeper(0)).is_none());
 /// ```
 #[derive(Debug, Clone)]
@@ -241,9 +243,11 @@ mod tests {
     fn robot_hides_until_disk_nearly_explored() {
         let mut w = AdversarialWorld::new(theorem3_layout(3.0, 1));
         // Snapshots along a coarse path never corner the robot...
+        let mut seen = Vec::new();
         for k in 0..3 {
             let p = Point::new(k as f64, 0.0);
-            assert!(w.look(p, k as f64).is_empty(), "seen too early at {p}");
+            w.look_into(p, k as f64, &mut seen);
+            assert!(seen.is_empty(), "seen too early at {p}");
         }
         assert_eq!(w.pinned_count(), 0);
         assert!(w.final_positions().is_none());
@@ -255,12 +259,13 @@ mod tests {
         // Sweep the bounding square of the disk with unit-vision snapshots
         // on a sqrt(2)-grid: guaranteed coverage.
         let rect = freezetag_geometry::Disk::new(Point::ORIGIN, 2.0).bounding_rect();
-        let mut seen = Vec::new();
+        let (mut seen, mut snap) = (Vec::new(), Vec::new());
         for (k, p) in freezetag_geometry::sweep::snapshot_positions(&rect)
             .into_iter()
             .enumerate()
         {
-            seen.extend(w.look(p, k as f64));
+            w.look_into(p, k as f64, &mut snap);
+            seen.extend_from_slice(&snap);
         }
         assert_eq!(seen.len(), 1, "exactly one discovery event");
         assert_eq!(w.pinned_count(), 1);
@@ -275,8 +280,9 @@ mod tests {
         let snaps = freezetag_geometry::sweep::snapshot_positions(&rect);
         let mut history: Vec<Point> = Vec::new();
         let mut pinned: Option<(usize, Point)> = None;
+        let mut seen = Vec::new();
         for (k, p) in snaps.iter().enumerate() {
-            let seen = w.look(*p, k as f64);
+            w.look_into(*p, k as f64, &mut seen);
             if let Some(s) = seen.first() {
                 pinned = Some((k, s.pos));
                 break;
@@ -329,9 +335,10 @@ mod tests {
                 let mut w = AdversarialWorld::new(theorem3_layout(ell, 1));
                 let mut history: Vec<Point> = Vec::new();
                 let mut pinned: Option<Point> = None;
+                let mut seen = Vec::new();
                 for (t, (x, y)) in looks.iter().enumerate() {
                     let p = Point::new(*x, *y);
-                    let seen = w.look(p, t as f64);
+                    w.look_into(p, t as f64, &mut seen);
                     if let Some(s) = seen.first() {
                         pinned = Some(s.pos);
                         break;
@@ -355,11 +362,12 @@ mod tests {
     fn co_located_theorem3_robots_pin_identically() {
         let mut w = AdversarialWorld::new(theorem3_layout(2.0, 3));
         let rect = freezetag_geometry::Disk::new(Point::ORIGIN, 2.0).bounding_rect();
+        let mut seen = Vec::new();
         for (k, p) in freezetag_geometry::sweep::snapshot_positions(&rect)
             .into_iter()
             .enumerate()
         {
-            let _ = w.look(p, k as f64);
+            w.look_into(p, k as f64, &mut seen);
         }
         let ps = w.final_positions().expect("all pinned");
         assert!(ps.windows(2).all(|ab| ab[0].approx_eq(ab[1])));

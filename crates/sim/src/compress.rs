@@ -24,13 +24,13 @@
 //! Events are grouped into fixed-size blocks ([`SEG_BLOCK_EVENTS`] per
 //! robot, [`WAKE_BLOCK_EVENTS`] in the wake log) with a small uncompressed
 //! header holding the decoder state at the block boundary, so decode is
-//! block-local: the streaming validator and [`position_at`] touch one
-//! block at a time instead of materialising whole timelines.
+//! block-local: the validator ([`validate_compressed`]) and
+//! [`CompressedRecorder::position_at`] touch one block at a time instead
+//! of materialising whole timelines.
 //!
-//! [`position_at`]: crate::record::ReplayRecorder::position_at
+//! [`validate_compressed`]: crate::validate_compressed
 //! [`Segment`]: crate::Segment
 
-use crate::record::ReplayRecorder;
 use crate::{Recorder, RobotId, Segment, WakeEvent};
 use freezetag_geometry::Point;
 
@@ -289,7 +289,7 @@ const ASLEEP: f64 = f64::NAN;
 /// float ops in the same order, so every aggregate is bit-identical to
 /// both other recorders (pinned by `recorder_parity`). Trajectories decode
 /// block-locally through [`CompressedRecorder::segments`] /
-/// [`ReplayRecorder::position_at`], which is what the streaming validator
+/// [`CompressedRecorder::position_at`], which is what the validator
 /// ([`validate_compressed`](crate::validate_compressed)) consumes.
 #[derive(Debug, Clone)]
 pub struct CompressedRecorder {
@@ -444,6 +444,53 @@ impl CompressedRecorder {
             Some(b) => b.start_time,
             None => self.times[i],
         }
+    }
+
+    /// Position of `robot` at absolute time `t` (clamped before activation
+    /// and after the last event), `None` if the robot was never activated.
+    /// Decodes at most the one block containing `t` and agrees bit-for-bit
+    /// with [`Timeline::position_at`](crate::Timeline::position_at) on the
+    /// same event sequence.
+    pub fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
+        let i = robot.index();
+        if self.wake_times[i].is_nan() {
+            return None;
+        }
+        let nseg = self.seg_counts[i] as usize;
+        // Mirrors Timeline::position_at exactly, block by block.
+        if t <= self.wake_times[i] || nseg == 0 {
+            return Some(if nseg == 0 {
+                Point::new(self.pos_x[i], self.pos_y[i])
+            } else {
+                let b = self.seg_blocks[i][0];
+                Point::new(b.start_x, b.start_y)
+            });
+        }
+        // First block whose end time is >= t: since per-robot segment end
+        // times are nondecreasing and block_end(k) is the exact end time
+        // of block k's last segment, this lands on the block containing
+        // the segment Timeline's partition_point would select.
+        let nb = self.seg_blocks[i].len();
+        let mut lo = 0;
+        let mut hi = nb;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.block_end(i, mid) < t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo == nb {
+            return Some(Point::new(self.pos_x[i], self.pos_y[i]));
+        }
+        let mut buf = Vec::with_capacity(SEG_BLOCK_EVENTS);
+        self.decode_block(i, lo, &mut buf);
+        let k = buf.partition_point(|s| s.end_time < t);
+        Some(match buf.get(k) {
+            Some(s) => s.position_at(t),
+            None => Point::new(self.pos_x[i], self.pos_y[i]),
+        })
     }
 }
 
@@ -650,47 +697,47 @@ impl Recorder for CompressedRecorder {
     }
 }
 
-impl ReplayRecorder for CompressedRecorder {
-    fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
-        let i = robot.index();
-        if self.wake_times[i].is_nan() {
-            return None;
-        }
-        let nseg = self.seg_counts[i] as usize;
-        // Mirrors Timeline::position_at exactly, block by block.
-        if t <= self.wake_times[i] || nseg == 0 {
-            return Some(if nseg == 0 {
-                Point::new(self.pos_x[i], self.pos_y[i])
-            } else {
-                let b = self.seg_blocks[i][0];
-                Point::new(b.start_x, b.start_y)
-            });
-        }
-        // First block whose end time is >= t: since per-robot segment end
-        // times are nondecreasing and block_end(k) is the exact end time
-        // of block k's last segment, this lands on the block containing
-        // the segment Timeline's partition_point would select.
-        let nb = self.seg_blocks[i].len();
-        let mut lo = 0;
-        let mut hi = nb;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.block_end(i, mid) < t {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == nb {
-            return Some(Point::new(self.pos_x[i], self.pos_y[i]));
-        }
-        let mut buf = Vec::with_capacity(SEG_BLOCK_EVENTS);
-        self.decode_block(i, lo, &mut buf);
-        let k = buf.partition_point(|s| s.end_time < t);
-        Some(match buf.get(k) {
-            Some(s) => s.position_at(t),
-            None => Point::new(self.pos_x[i], self.pos_y[i]),
+impl crate::validate::Replay for CompressedRecorder {
+    fn slots(&self) -> usize {
+        self.wake_times.len()
+    }
+
+    fn timelines(
+        &self,
+    ) -> impl Iterator<Item = (RobotId, f64, Point, impl Iterator<Item = Segment> + '_)> + '_ {
+        (0..self.wake_times.len()).filter_map(|i| {
+            let robot = RobotId::from_index(i);
+            let start = Recorder::wake_time(self, robot)?;
+            let pos = self.start_pos(robot)?;
+            Some((robot, start, pos, self.segments(robot)))
         })
+    }
+
+    fn wake_time(&self, robot: RobotId) -> Option<f64> {
+        self.wake_times
+            .get(robot.index())
+            .copied()
+            .filter(|t| !t.is_nan())
+    }
+
+    fn wakes(&self) -> impl Iterator<Item = WakeEvent> + '_ {
+        self.wakes.iter_from(0)
+    }
+
+    fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
+        CompressedRecorder::position_at(self, robot, t)
+    }
+
+    fn active_count(&self) -> usize {
+        self.active
+    }
+
+    fn makespan(&self) -> f64 {
+        self.makespan_acc
+    }
+
+    fn wake_count(&self) -> usize {
+        self.wakes.len
     }
 }
 

@@ -16,9 +16,11 @@
 //!    their disk).
 //! 2. **Scheduling** — a [`Sim`] driver records every move/wait into
 //!    per-robot [`Timeline`]s, tracking time and energy exactly.
-//! 3. **Validation** — [`validate`] independently re-checks a finished
-//!    [`Schedule`]: timeline continuity, unit speed, motion only after
-//!    wake-up, wake co-location, full coverage, energy budgets.
+//! 3. **Validation** — one checker independently re-checks a finished
+//!    run, stored flat ([`validate`] on a [`Schedule`]) or block-compressed
+//!    ([`validate_compressed`] on a [`CompressedRecorder`]): timeline
+//!    continuity, unit speed, motion only after wake-up, wake co-location,
+//!    full coverage, energy budgets.
 //!
 //! A fourth, orthogonal layer is **deterministic intra-job parallelism**
 //! ([`par`]): a [`ParPool`] of scoped threads that worlds and drivers use
@@ -36,7 +38,8 @@
 //!
 //! let inst = Instance::new(vec![Point::new(0.5, 0.0)]);
 //! let mut sim = Sim::new(ConcreteWorld::new(&inst));
-//! let seen = sim.look(RobotId::SOURCE);
+//! let mut seen = Vec::new();
+//! sim.look_into(RobotId::SOURCE, &mut seen);
 //! assert_eq!(seen.len(), 1);
 //! sim.move_to(RobotId::SOURCE, seen[0].pos);
 //! let woken = sim.wake(RobotId::SOURCE, seen[0].id);
@@ -70,7 +73,7 @@ pub use compress::{
 pub use error::SimError;
 pub use id::RobotId;
 pub use par::ParPool;
-pub use record::{FullRecorder, Recorder, ReplayRecorder, StatsRecorder};
+pub use record::{FullRecorder, Recorder, StatsRecorder};
 pub use schedule::{Schedule, Segment, Timeline, WakeEvent};
 pub use sim::Sim;
 pub use trace::{Trace, TraceSpan};

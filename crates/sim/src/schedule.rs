@@ -299,6 +299,45 @@ impl Schedule {
     }
 }
 
+impl crate::validate::Replay for Schedule {
+    fn slots(&self) -> usize {
+        self.timelines.len()
+    }
+
+    fn timelines(
+        &self,
+    ) -> impl Iterator<Item = (RobotId, f64, Point, impl Iterator<Item = Segment> + '_)> + '_ {
+        Schedule::timelines(self).map(|tl| {
+            let segments = tl.segments().iter().copied();
+            (tl.robot(), tl.start_time(), tl.start_pos(), segments)
+        })
+    }
+
+    fn wake_time(&self, robot: RobotId) -> Option<f64> {
+        Some(self.timelines.get(robot.index())?.as_ref()?.start_time())
+    }
+
+    fn wakes(&self) -> impl Iterator<Item = WakeEvent> + '_ {
+        self.wakes.iter().copied()
+    }
+
+    fn position_at(&self, robot: RobotId, t: f64) -> Option<Point> {
+        self.timeline(robot).map(|tl| tl.position_at(t))
+    }
+
+    fn active_count(&self) -> usize {
+        Schedule::active_count(self)
+    }
+
+    fn makespan(&self) -> f64 {
+        Schedule::makespan(self)
+    }
+
+    fn wake_count(&self) -> usize {
+        self.wakes.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,8 @@ use freezetag_geometry::Point;
 /// a [`Recorder`] (time/energy accounting).
 ///
 /// Algorithms manipulate robots exclusively through this API:
-/// [`Sim::move_to`], [`Sim::wait_until`], [`Sim::look`] and [`Sim::wake`].
+/// [`Sim::move_to`], [`Sim::wait_until`], [`Sim::look_into`] (and its
+/// batched form [`Sim::look_many_into`]) and [`Sim::wake`].
 /// Misuse — moving a sleeping robot, waking from a distance, waking an
 /// already-awake robot — panics immediately: those are algorithm bugs, not
 /// recoverable conditions.
@@ -238,22 +239,9 @@ impl<W: WorldView, R: Recorder> Sim<W, R> {
     }
 
     /// Takes a snapshot from the robot's current position at its current
-    /// time: sleeping robots within Euclidean distance 1. Allocates a
-    /// fresh vector; hot loops should prefer [`Sim::look_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the robot is asleep.
-    pub fn look(&mut self, robot: RobotId) -> Vec<Sighting> {
-        let mut out = Vec::new();
-        self.look_into(robot, &mut out);
-        out
-    }
-
-    /// Buffer-reusing snapshot: clears `out` and fills it with the
-    /// sleeping robots within Euclidean distance 1 of the robot's current
-    /// position, sorted by id. Reusing one buffer across a sweep makes the
-    /// hottest loop of every algorithm allocation-free.
+    /// time: clears `out` and fills it with the sleeping robots within
+    /// Euclidean distance 1, sorted by id. Reusing one buffer across a
+    /// sweep makes the hottest loop of every algorithm allocation-free.
     ///
     /// # Panics
     ///
@@ -366,7 +354,8 @@ mod tests {
     #[test]
     fn wake_chain() {
         let mut s = sim();
-        let seen = s.look(RobotId::SOURCE);
+        let mut seen = Vec::new();
+        s.look_into(RobotId::SOURCE, &mut seen);
         assert_eq!(seen.len(), 2);
         s.move_to(RobotId::SOURCE, seen[0].pos);
         let r0 = s.wake(RobotId::SOURCE, seen[0].id);
@@ -395,7 +384,8 @@ mod tests {
         };
         let (mk, te, me) = script(Sim::with_stats(ConcreteWorld::new(&inst)));
         let mut full = Sim::new(ConcreteWorld::new(&inst));
-        let seen = full.look(RobotId::SOURCE);
+        let mut seen = Vec::new();
+        full.look_into(RobotId::SOURCE, &mut seen);
         full.move_to(RobotId::SOURCE, seen[0].pos);
         let r0 = full.wake(RobotId::SOURCE, seen[0].id);
         full.move_to(r0, Point::new(1.0, 0.0));
@@ -481,7 +471,7 @@ mod tests {
         token.cancel();
         let r = catch_cancel(|| {
             let mut s = sim().with_cancel(token);
-            s.look(RobotId::SOURCE);
+            s.look_into(RobotId::SOURCE, &mut Vec::new());
             unreachable!("checkpoint must fire before sensing");
         });
         assert_eq!(r, Err(Cancelled));
@@ -492,10 +482,10 @@ mod tests {
         use crate::cancel::CancelToken;
         let mut plain = sim();
         let mut tokened = sim().with_cancel(CancelToken::new());
-        assert_eq!(
-            plain.look(RobotId::SOURCE).len(),
-            tokened.look(RobotId::SOURCE).len()
-        );
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        plain.look_into(RobotId::SOURCE, &mut a);
+        tokened.look_into(RobotId::SOURCE, &mut b);
+        assert_eq!(a, b);
         assert!(!tokened.cancel_token().is_cancelled());
     }
 
@@ -503,7 +493,8 @@ mod tests {
     fn look_is_at_current_position() {
         let mut s = sim();
         s.move_to(RobotId::SOURCE, Point::new(4.5, 0.0));
-        let seen = s.look(RobotId::SOURCE);
+        let mut seen = Vec::new();
+        s.look_into(RobotId::SOURCE, &mut seen);
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].id, RobotId::sleeper(2));
     }

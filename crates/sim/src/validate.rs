@@ -1,5 +1,4 @@
-use crate::record::ReplayRecorder;
-use crate::{CompressedRecorder, Recorder, RobotId, Schedule, SimError};
+use crate::{CompressedRecorder, RobotId, Schedule, Segment, SimError, WakeEvent};
 use freezetag_geometry::Point;
 
 /// Tolerances and requirements for schedule validation.
@@ -40,9 +39,38 @@ pub struct ValidationReport {
     pub wake_count: usize,
 }
 
+/// Read access to a recorded run — everything the checker replays.
+/// Implemented by the flat [`Schedule`] and the block-compressed
+/// [`CompressedRecorder`]; the iterators are concrete per format, so each
+/// gets its own monomorphized copy of [`check`] with no `dyn` call per
+/// segment.
+pub(crate) trait Replay {
+    /// Robot slots in the recording (`n + 1`, the source at index 0).
+    fn slots(&self) -> usize;
+    /// The activated robots in index order, each with its activation time
+    /// and position and its segments in chronological order.
+    fn timelines(
+        &self,
+    ) -> impl Iterator<Item = (RobotId, f64, Point, impl Iterator<Item = Segment> + '_)> + '_;
+    /// Activation time of `robot`; `None` if it was never activated or
+    /// lies outside the recording.
+    fn wake_time(&self, robot: RobotId) -> Option<f64>;
+    /// The wake log in recording order.
+    fn wakes(&self) -> impl Iterator<Item = WakeEvent> + '_;
+    /// Position of `robot` at absolute time `t`, `None` if never activated.
+    fn position_at(&self, robot: RobotId, t: f64) -> Option<Point>;
+    /// Number of activated robots.
+    fn active_count(&self) -> usize;
+    /// The latest wake time (0 when nothing was woken).
+    fn makespan(&self) -> f64;
+    /// Number of wake events.
+    fn wake_count(&self) -> usize;
+}
+
 /// Independently re-checks a finished [`Schedule`] against the model of
 /// Section 1.2:
 ///
+/// * the recording has one slot per robot of the instance;
 /// * the source starts at time 0 at `source`;
 /// * every timeline is contiguous in time and space, and every segment
 ///   respects unit speed (`length ≤ duration + tol`);
@@ -66,192 +94,13 @@ pub fn validate(
     initial_positions: &[Point],
     opts: &ValidationOptions,
 ) -> Result<ValidationReport, SimError> {
-    let tol = opts.tolerance;
-    let n = initial_positions.len();
-
-    // --- source timeline -------------------------------------------------
-    let src = schedule
-        .timeline(RobotId::SOURCE)
-        .ok_or_else(|| SimError::InvalidTimeline("source has no timeline".into()))?;
-    if src.start_time() != 0.0 {
-        return Err(SimError::InvalidTimeline(format!(
-            "source starts at t={} instead of 0",
-            src.start_time()
-        )));
-    }
-    if src.start_pos().dist(source) > tol {
-        return Err(SimError::InvalidTimeline(
-            "source timeline does not start at the source position".into(),
-        ));
-    }
-
-    // --- per-timeline kinematics -----------------------------------------
-    // One fused pass per timeline: the replay checks share their segment
-    // loads (and single per-segment `dist`) with the travel/completion
-    // accumulation that ValidationReport needs — the folds run in the
-    // exact order and with the exact operations of `Timeline::travel` and
-    // the `Schedule` statistics, so the report is bit-identical to the
-    // separate passes it replaces.
-    let mut travels: Vec<f64> = Vec::with_capacity(schedule.active_count());
-    let mut completion = 0.0f64;
-    let mut max_energy = 0.0f64;
-    let mut total_energy = 0.0f64;
-    for tl in schedule.timelines() {
-        let mut t = tl.start_time();
-        let mut pos = tl.start_pos();
-        if let Some(i) = tl.robot().sleeper_index() {
-            let expect = initial_positions[i];
-            if pos.dist(expect) > tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {} starts at {} instead of its initial position {}",
-                    tl.robot(),
-                    pos,
-                    expect
-                )));
-            }
-        }
-        let mut travel = 0.0f64;
-        for (k, s) in tl.segments().iter().enumerate() {
-            if (s.start_time - t).abs() > tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {} segment {k} starts at {} expected {}",
-                    tl.robot(),
-                    s.start_time,
-                    t
-                )));
-            }
-            // Bit-equal endpoints (the recorder's normal output) skip the
-            // continuity distance entirely; the comparison outcome is the
-            // same either way since equal points are at distance 0.
-            if (s.from.x != pos.x || s.from.y != pos.y) && s.from.dist(pos) > tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {} segment {k} teleports from {} to {}",
-                    tl.robot(),
-                    pos,
-                    s.from
-                )));
-            }
-            if s.end_time < s.start_time - tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {} segment {k} goes back in time",
-                    tl.robot()
-                )));
-            }
-            let length = s.length();
-            if length > s.duration() + tol {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {} segment {k} exceeds unit speed: length {} in {}",
-                    tl.robot(),
-                    length,
-                    s.duration()
-                )));
-            }
-            travel += length;
-            t = s.end_time;
-            pos = s.to;
-        }
-        completion = f64::max(completion, t);
-        max_energy = f64::max(max_energy, travel);
-        total_energy += travel;
-        travels.push(travel);
-    }
-
-    // --- wake events -------------------------------------------------------
-    let mut woken = vec![false; n];
-    for (k, w) in schedule.wakes().iter().enumerate() {
-        let i = w.target.sleeper_index().ok_or_else(|| {
-            SimError::InvalidTimeline(format!("wake event {k} targets the source"))
-        })?;
-        if woken[i] {
-            return Err(SimError::AlreadyAwake(w.target));
-        }
-        woken[i] = true;
-        if w.pos.dist(initial_positions[i]) > tol {
-            return Err(SimError::InvalidTimeline(format!(
-                "wake event {k}: position {} is not {}'s initial position",
-                w.pos, w.target
-            )));
-        }
-        let target_tl = schedule.timeline(w.target).ok_or_else(|| {
-            SimError::InvalidTimeline(format!("woken robot {} has no timeline", w.target))
-        })?;
-        if (target_tl.start_time() - w.time).abs() > tol {
-            return Err(SimError::InvalidTimeline(format!(
-                "robot {} timeline starts at {} but was woken at {}",
-                w.target,
-                target_tl.start_time(),
-                w.time
-            )));
-        }
-        let waker_tl = schedule
-            .timeline(w.waker)
-            .ok_or(SimError::Asleep(w.waker))?;
-        if waker_tl.start_time() > w.time + tol {
-            return Err(SimError::Asleep(w.waker));
-        }
-        let wp = waker_tl.position_at(w.time);
-        let d = wp.dist(w.pos);
-        if d > tol {
-            return Err(SimError::NotColocated {
-                waker: w.waker,
-                target: w.target,
-                distance: d,
-            });
-        }
-    }
-    // Every non-source timeline must correspond to a wake event.
-    for tl in schedule.timelines() {
-        if let Some(i) = tl.robot().sleeper_index() {
-            if !woken[i] {
-                return Err(SimError::InvalidTimeline(format!(
-                    "robot {} has a timeline but no wake event",
-                    tl.robot()
-                )));
-            }
-        }
-    }
-
-    // --- coverage ----------------------------------------------------------
-    let awake = schedule.active_count();
-    if opts.require_all_awake && awake != n + 1 {
-        return Err(SimError::NotAllAwake {
-            asleep: n + 1 - awake,
-        });
-    }
-
-    // --- energy ------------------------------------------------------------
-    if let Some(budget) = opts.energy_budget {
-        for (tl, &spent) in schedule.timelines().zip(&travels) {
-            if spent > budget + tol {
-                return Err(SimError::EnergyExceeded {
-                    robot: tl.robot(),
-                    spent,
-                    budget,
-                });
-            }
-        }
-    }
-
-    Ok(ValidationReport {
-        makespan: schedule.makespan(),
-        completion_time: completion,
-        max_energy,
-        total_energy,
-        robots_awake: awake,
-        wake_count: schedule.wakes().len(),
-    })
+    check(schedule, source, initial_positions, opts)
 }
 
-/// Streaming counterpart of [`validate`] over a [`CompressedRecorder`]:
-/// performs the same checks in the same order with the same tolerance
-/// semantics, but decodes one compression block per robot at a time, so
-/// peak validation memory is `O(block)` instead of `O(total segments)`.
-///
-/// The accumulated report runs the exact folds of the fused pass in
-/// [`validate`] — per-segment travel additions in timeline order, `f64::max`
-/// completion/energy folds in robot-index order — so on the same event
-/// sequence the two validators return bit-identical reports (pinned by the
-/// `compressed_roundtrip` and `recorder_parity` suites).
+/// [`validate`] over a [`CompressedRecorder`]: the same checker, fed by the
+/// block-local decoders, so peak validation memory is `O(block)` instead of
+/// `O(total segments)`. On the same event sequence both return the same
+/// error or bit-identical reports.
 ///
 /// # Errors
 ///
@@ -263,41 +112,60 @@ pub fn validate_compressed(
     initial_positions: &[Point],
     opts: &ValidationOptions,
 ) -> Result<ValidationReport, SimError> {
+    check(rec, source, initial_positions, opts)
+}
+
+/// The one body behind [`validate`] and [`validate_compressed`].
+fn check<S: Replay>(
+    rec: &S,
+    source: Point,
+    initial_positions: &[Point],
+    opts: &ValidationOptions,
+) -> Result<ValidationReport, SimError> {
     let tol = opts.tolerance;
     let n = initial_positions.len();
 
+    // --- shape -----------------------------------------------------------
+    // Robot indices below come from the recording and index the instance,
+    // so the two must agree before anything is looked up.
+    let slots = rec.slots();
+    if slots != n + 1 {
+        return Err(SimError::InvalidTimeline(format!(
+            "recording has {slots} robot slots but the instance has {n} robots (expected {})",
+            n + 1
+        )));
+    }
+
     // --- source ----------------------------------------------------------
-    let src_start = rec
-        .wake_time(RobotId::SOURCE)
+    let (src_start, src_pos) = rec
+        .timelines()
+        .next()
+        .filter(|&(robot, ..)| robot == RobotId::SOURCE)
+        .map(|(_, start, pos, _)| (start, pos))
         .ok_or_else(|| SimError::InvalidTimeline("source has no timeline".into()))?;
     if src_start != 0.0 {
         return Err(SimError::InvalidTimeline(format!(
             "source starts at t={src_start} instead of 0"
         )));
     }
-    let src_pos = rec.start_pos(RobotId::SOURCE).expect("source is active");
     if src_pos.dist(source) > tol {
         return Err(SimError::InvalidTimeline(
             "source timeline does not start at the source position".into(),
         ));
     }
 
-    // --- per-timeline kinematics ------------------------------------------
-    // Identical fused pass to `validate`, fed by the block-local segment
-    // decoder: robot-index order matches `Schedule::timelines()`, and the
-    // per-segment ops (one `dist` per segment, `travel += length`) are the
-    // ones the flat validator runs — the report stays bit-identical.
+    // --- per-timeline kinematics -----------------------------------------
+    // One fused pass per timeline, in robot-index order: the replay checks
+    // share their segment loads (and single per-segment `dist`) with the
+    // travel/completion accumulation the report needs. The folds run in
+    // the exact order and with the exact operations of `Timeline::travel`
+    // and the recorders' aggregates, so the report is bit-identical to
+    // them.
     let mut travels: Vec<f64> = Vec::with_capacity(rec.active_count());
     let mut completion = 0.0f64;
     let mut max_energy = 0.0f64;
     let mut total_energy = 0.0f64;
-    for idx in 0..=n {
-        let robot = RobotId::from_index(idx);
-        let Some(start) = rec.wake_time(robot) else {
-            continue;
-        };
-        let mut t = start;
-        let mut pos = rec.start_pos(robot).expect("active robot has a start");
+    for (robot, mut t, mut pos, segments) in rec.timelines() {
         if let Some(i) = robot.sleeper_index() {
             let expect = initial_positions[i];
             if pos.dist(expect) > tol {
@@ -307,17 +175,20 @@ pub fn validate_compressed(
             }
         }
         let mut travel = 0.0f64;
-        for (k, s) in rec.segments(robot).enumerate() {
+        for (k, s) in segments.enumerate() {
             if (s.start_time - t).abs() > tol {
+                let start = s.start_time;
                 return Err(SimError::InvalidTimeline(format!(
-                    "robot {robot} segment {k} starts at {} expected {t}",
-                    s.start_time
+                    "robot {robot} segment {k} starts at {start} expected {t}"
                 )));
             }
+            // Bit-equal endpoints (the recorder's normal output) skip the
+            // continuity distance entirely; the comparison outcome is the
+            // same either way since equal points are at distance 0.
             if (s.from.x != pos.x || s.from.y != pos.y) && s.from.dist(pos) > tol {
+                let from = s.from;
                 return Err(SimError::InvalidTimeline(format!(
-                    "robot {robot} segment {k} teleports from {pos} to {}",
-                    s.from
+                    "robot {robot} segment {k} teleports from {pos} to {from}"
                 )));
             }
             if s.end_time < s.start_time - tol {
@@ -344,10 +215,16 @@ pub fn validate_compressed(
 
     // --- wake events -------------------------------------------------------
     let mut woken = vec![false; n];
-    for (k, w) in rec.wake_events_from(0).enumerate() {
+    for (k, w) in rec.wakes().enumerate() {
         let i = w.target.sleeper_index().ok_or_else(|| {
             SimError::InvalidTimeline(format!("wake event {k} targets the source"))
         })?;
+        if i >= n {
+            return Err(SimError::InvalidTimeline(format!(
+                "wake event {k} targets robot {} outside the instance",
+                w.target
+            )));
+        }
         if woken[i] {
             return Err(SimError::AlreadyAwake(w.target));
         }
@@ -383,15 +260,16 @@ pub fn validate_compressed(
     }
     // Every non-source timeline must correspond to a wake event.
     for (i, &w) in woken.iter().enumerate() {
-        if rec.is_active(RobotId::sleeper(i)) && !w {
+        let robot = RobotId::sleeper(i);
+        if !w && rec.wake_time(robot).is_some() {
             return Err(SimError::InvalidTimeline(format!(
-                "robot {} has a timeline but no wake event",
-                RobotId::sleeper(i)
+                "robot {robot} has a timeline but no wake event"
             )));
         }
     }
 
     // --- coverage ----------------------------------------------------------
+    // At most `slots == n + 1` robots are active, so this cannot underflow.
     let awake = rec.active_count();
     if opts.require_all_awake && awake != n + 1 {
         return Err(SimError::NotAllAwake {
@@ -401,14 +279,7 @@ pub fn validate_compressed(
 
     // --- energy ------------------------------------------------------------
     if let Some(budget) = opts.energy_budget {
-        let mut ti = 0;
-        for idx in 0..=n {
-            let robot = RobotId::from_index(idx);
-            if !rec.is_active(robot) {
-                continue;
-            }
-            let spent = travels[ti];
-            ti += 1;
+        for ((robot, ..), &spent) in rec.timelines().zip(&travels) {
             if spent > budget + tol {
                 return Err(SimError::EnergyExceeded {
                     robot,

@@ -40,13 +40,6 @@ pub trait WorldView {
     /// marks.
     fn look_into(&mut self, from: Point, time: f64, out: &mut Vec<Sighting>);
 
-    /// Allocating convenience wrapper around [`WorldView::look_into`].
-    fn look(&mut self, from: Point, time: f64) -> Vec<Sighting> {
-        let mut out = Vec::new();
-        self.look_into(from, time, &mut out);
-        out
-    }
-
     /// Whether sensing is a pure function of the committed wake state:
     /// two `look`s with the same `(from, time)` and the same wake commits
     /// in between return the same sightings, regardless of what other
@@ -166,7 +159,8 @@ impl AwakeBits {
 ///
 /// let inst = Instance::new(vec![Point::new(0.5, 0.0), Point::new(3.0, 0.0)]);
 /// let mut w = ConcreteWorld::new(&inst);
-/// let seen = w.look(Point::ORIGIN, 0.0);
+/// let mut seen = Vec::new();
+/// w.look_into(Point::ORIGIN, 0.0, &mut seen);
 /// assert_eq!(seen.len(), 1);
 /// assert_eq!(seen[0].id, RobotId::sleeper(0));
 /// ```
@@ -378,7 +372,8 @@ mod tests {
     #[test]
     fn look_sees_only_within_unit_distance() {
         let mut w = world();
-        let seen = w.look(Point::ORIGIN, 0.0);
+        let mut seen = Vec::new();
+        w.look_into(Point::ORIGIN, 0.0, &mut seen);
         let ids: Vec<RobotId> = seen.iter().map(|s| s.id).collect();
         assert_eq!(ids, vec![RobotId::sleeper(0), RobotId::sleeper(1)]);
         assert_eq!(w.look_count(), 1);
@@ -400,11 +395,15 @@ mod tests {
     fn woken_robots_disappear_from_later_looks() {
         let mut w = world();
         w.wake(RobotId::sleeper(0), 5.0).unwrap();
+        let mut seen = Vec::new();
         // Before the wake they are still visible...
-        assert_eq!(w.look(Point::ORIGIN, 4.0).len(), 2);
+        w.look_into(Point::ORIGIN, 4.0, &mut seen);
+        assert_eq!(seen.len(), 2);
         // ...and invisible from the wake time onward.
-        assert_eq!(w.look(Point::ORIGIN, 5.0).len(), 1);
-        assert_eq!(w.look(Point::ORIGIN, 6.0).len(), 1);
+        w.look_into(Point::ORIGIN, 5.0, &mut seen);
+        assert_eq!(seen.len(), 1);
+        w.look_into(Point::ORIGIN, 6.0, &mut seen);
+        assert_eq!(seen.len(), 1);
     }
 
     #[test]
@@ -454,8 +453,11 @@ mod tests {
         );
         let mut a = ConcreteWorld::new(&inst);
         let mut b = ConcreteWorld::with_pool(&inst, &ParPool::new(4));
+        let (mut seen_a, mut seen_b) = (Vec::new(), Vec::new());
         for q in [Point::ORIGIN, Point::new(10.0, 8.0), Point::new(21.9, 21.0)] {
-            assert_eq!(a.look(q, 0.0), b.look(q, 0.0), "query {q}");
+            a.look_into(q, 0.0, &mut seen_a);
+            b.look_into(q, 0.0, &mut seen_b);
+            assert_eq!(seen_a, seen_b, "query {q}");
         }
         assert_eq!(a.memory_bytes(), b.memory_bytes());
     }

@@ -51,6 +51,7 @@ fn main() {
     let mut spent = 0.0;
     let mut found = false;
     let mut pos = Point::ORIGIN;
+    let mut seen = Vec::new();
     'sweep: for snap in freezetag::geometry::sweep::snapshot_positions(&rect) {
         let step = pos.dist(snap);
         if spent + step > budget {
@@ -59,7 +60,8 @@ fn main() {
         spent += step;
         pos = snap;
         sim.move_to(freezetag::sim::RobotId::SOURCE, snap);
-        if !sim.look(freezetag::sim::RobotId::SOURCE).is_empty() {
+        sim.look_into(freezetag::sim::RobotId::SOURCE, &mut seen);
+        if !seen.is_empty() {
             found = true;
             break 'sweep;
         }

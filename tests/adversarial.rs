@@ -67,6 +67,7 @@ fn theorem3_budget_starved_searcher_finds_nothing() {
         let rect = freezetag::geometry::Disk::new(Point::ORIGIN, ell).bounding_rect();
         let mut spent = 0.0;
         let mut pos = Point::ORIGIN;
+        let mut seen = Vec::new();
         for snap in freezetag::geometry::sweep::snapshot_positions(&rect) {
             let step = pos.dist(snap);
             if spent + step > budget {
@@ -75,8 +76,9 @@ fn theorem3_budget_starved_searcher_finds_nothing() {
             spent += step;
             pos = snap;
             sim.move_to(RobotId::SOURCE, snap);
+            sim.look_into(RobotId::SOURCE, &mut seen);
             assert!(
-                sim.look(RobotId::SOURCE).is_empty(),
+                seen.is_empty(),
                 "ell={ell}: budget-starved sweep discovered a robot"
             );
         }
@@ -95,6 +97,7 @@ fn theorem3_sufficient_budget_does_find_the_robot() {
     let mut spent = 0.0;
     let mut pos = Point::ORIGIN;
     let mut found = false;
+    let mut seen = Vec::new();
     for snap in freezetag::geometry::sweep::snapshot_positions(&rect) {
         let step = pos.dist(snap);
         if spent + step > budget {
@@ -103,7 +106,8 @@ fn theorem3_sufficient_budget_does_find_the_robot() {
         spent += step;
         pos = snap;
         sim.move_to(RobotId::SOURCE, snap);
-        if !sim.look(RobotId::SOURCE).is_empty() {
+        sim.look_into(RobotId::SOURCE, &mut seen);
+        if !seen.is_empty() {
             found = true;
             break;
         }
